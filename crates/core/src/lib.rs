@@ -68,8 +68,7 @@ pub use hlo_trace::json as trace_json;
 pub use hlo_trace::{
     chrome_trace_json, normalize_log, parse_exposition, parse_flight_dump, validate_chrome_trace,
     DecisionEvent, DecisionKind, Event, EventLevel, EventLog, FlightRecord, FlightRecorder,
-    MetricsRegistry, QuantileSketch, TraceLevel, Tracer, Verdict, DRIFT_BUCKETS_MILLIS,
-    LATENCY_BUCKETS_US, SKETCH_ERROR_PERCENT,
+    MetricsRegistry, QuantileSketch, TraceLevel, Tracer, Verdict, SKETCH_ERROR_PERCENT,
 };
 pub use inliner::inline_pass;
 pub use legality::{clone_restriction, inline_restriction, Restriction};

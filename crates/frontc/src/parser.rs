@@ -4,6 +4,15 @@ use crate::ast::*;
 use crate::lexer::{Lexer, Token, TokenKind};
 use crate::FrontError;
 
+/// Deepest nesting the parser accepts, counted over expressions (each
+/// parenthesis, call argument, index, unary operator and ternary arm) and
+/// statements (each block and `else if` link). Deeper input is refused with
+/// a positioned error instead of exhausting the thread's stack — in
+/// `hlod`, a worker thread shared by every client. C guarantees 63 levels
+/// of parenthesized expressions; 64 levels cost well under a 2 MiB thread
+/// stack even in an unoptimized build (~13 KiB per level there).
+const MAX_NESTING: usize = 64;
+
 /// Parses one module's source into an AST.
 ///
 /// # Errors
@@ -14,6 +23,7 @@ pub fn parse_module(name: &str, src: &str) -> Result<ModuleAst, FrontError> {
         module: name.to_string(),
         tokens,
         pos: 0,
+        depth: 0,
     };
     let mut items = Vec::new();
     while !p.at(&TokenKind::Eof) {
@@ -29,6 +39,8 @@ struct Parser {
     module: String,
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting depth, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -56,6 +68,20 @@ impl Parser {
             col: t.col,
             msg: msg.into(),
         }
+    }
+
+    /// Runs `f` one nesting level deeper, refusing to pass [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, FrontError>,
+    ) -> Result<T, FrontError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn expect(&mut self, k: TokenKind, what: &str) -> Result<(), FrontError> {
@@ -232,16 +258,18 @@ impl Parser {
     // ----- statements -----
 
     fn block(&mut self) -> Result<Vec<Stmt>, FrontError> {
-        self.expect(TokenKind::LBrace, "`{`")?;
-        let mut stmts = Vec::new();
-        while !self.at(&TokenKind::RBrace) {
-            if self.at(&TokenKind::Eof) {
-                return Err(self.err("unterminated block"));
+        self.nested(|p| {
+            p.expect(TokenKind::LBrace, "`{`")?;
+            let mut stmts = Vec::new();
+            while !p.at(&TokenKind::RBrace) {
+                if p.at(&TokenKind::Eof) {
+                    return Err(p.err("unterminated block"));
+                }
+                stmts.push(p.stmt()?);
             }
-            stmts.push(self.stmt()?);
-        }
-        self.bump();
-        Ok(stmts)
+            p.bump();
+            Ok(stmts)
+        })
     }
 
     fn stmt(&mut self) -> Result<Stmt, FrontError> {
@@ -281,7 +309,7 @@ impl Parser {
                 let else_ = if self.at(&TokenKind::Else) {
                     self.bump();
                     if self.at(&TokenKind::If) {
-                        vec![self.stmt()?]
+                        vec![self.nested(Self::stmt)?]
                     } else {
                         self.block()?
                     }
@@ -393,9 +421,9 @@ impl Parser {
         let c = self.binary(0)?;
         if self.at(&TokenKind::Question) {
             self.bump();
-            let a = self.expr()?;
+            let a = self.nested(Self::expr)?;
             self.expect(TokenKind::Colon, "`:`")?;
-            let b = self.ternary()?;
+            let b = self.nested(Self::ternary)?;
             Ok(Expr::Ternary(Box::new(c), Box::new(a), Box::new(b)))
         } else {
             Ok(c)
@@ -443,15 +471,15 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::Minus => {
                 self.bump();
-                Ok(Expr::Un(UnAst::Neg, Box::new(self.unary()?)))
+                Ok(Expr::Un(UnAst::Neg, Box::new(self.nested(Self::unary)?)))
             }
             TokenKind::Tilde => {
                 self.bump();
-                Ok(Expr::Un(UnAst::Not, Box::new(self.unary()?)))
+                Ok(Expr::Un(UnAst::Not, Box::new(self.nested(Self::unary)?)))
             }
             TokenKind::Bang => {
                 self.bump();
-                Ok(Expr::Un(UnAst::LogNot, Box::new(self.unary()?)))
+                Ok(Expr::Un(UnAst::LogNot, Box::new(self.nested(Self::unary)?)))
             }
             TokenKind::Amp => {
                 self.bump();
@@ -471,7 +499,7 @@ impl Parser {
                     let mut args = Vec::new();
                     if !self.at(&TokenKind::RParen) {
                         loop {
-                            args.push(self.expr()?);
+                            args.push(self.nested(Self::expr)?);
                             if self.at(&TokenKind::Comma) {
                                 self.bump();
                             } else {
@@ -487,7 +515,7 @@ impl Parser {
                 }
                 TokenKind::LBracket => {
                     self.bump();
-                    let idx = self.expr()?;
+                    let idx = self.nested(Self::expr)?;
                     self.expect(TokenKind::RBracket, "`]`")?;
                     e = Expr::Index(Box::new(e), Box::new(idx));
                 }
@@ -508,7 +536,7 @@ impl Parser {
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(TokenKind::RParen, "`)`")?;
                 Ok(e)
             }
@@ -632,6 +660,46 @@ mod tests {
         let e = parse_module("m", "fn f( { }").unwrap_err();
         assert_eq!(e.module, "m");
         assert!(e.msg.contains("expected"));
+    }
+
+    /// `fn main(x) { return <open>x<close>; }` with `n` levels of nesting
+    /// inside the return expression.
+    fn nested_source(n: usize, open: &str, close: &str) -> String {
+        format!(
+            "fn main(x) {{ return {}x{}; }}",
+            open.repeat(n),
+            close.repeat(n)
+        )
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_limit() {
+        // The function body is one level, so MAX_NESTING - 1 parentheses
+        // reach the limit exactly.
+        let at = nested_source(MAX_NESTING - 1, "(", ")");
+        parse(&at);
+        let past = nested_source(MAX_NESTING, "(", ")");
+        let e = parse_module("m", &past).unwrap_err();
+        assert!(e.msg.contains("nesting deeper than"), "{e}");
+        assert_eq!(e.line, 1);
+        // Unary chains, ternary chains and blocks are bounded the same way.
+        for (open, close) in [("-", ""), ("x ? x : ", "")] {
+            assert!(parse_module("m", &nested_source(MAX_NESTING - 1, open, close)).is_ok());
+            let e = parse_module("m", &nested_source(MAX_NESTING, open, close)).unwrap_err();
+            assert!(e.msg.contains("nesting deeper than"), "{e}");
+        }
+        let blocks = |n: usize| {
+            format!(
+                "fn main() {{ {}return 0;{} }}",
+                "if (1) { ".repeat(n),
+                " }".repeat(n)
+            )
+        };
+        assert!(parse_module("m", &blocks(MAX_NESTING / 2)).is_ok());
+        assert!(parse_module("m", &blocks(MAX_NESTING)).is_err());
+        // The nesting bomb from the field: an error, not a stack overflow.
+        let bomb = nested_source(20_000, "(", ")");
+        assert!(parse_module("m", &bomb).is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use hlo::{MetricsRegistry, LATENCY_BUCKETS_US};
+use hlo::MetricsRegistry;
 use hlo_frontc::ModuleAst;
 
 use crate::corpus::{write_reproducer, ReproBody, Reproducer};
@@ -137,7 +137,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 
 /// [`run_campaign`] with an externally owned metrics registry. Per
 /// iteration the generate/oracle/shrink/daemon phases land in
-/// `fuzz_<phase>_us` histograms, and cases are counted by source and
+/// `fuzz_<phase>_us` summaries, and cases are counted by source and
 /// outcome (`fuzz_cases_total{source=…}`, `fuzz_outcome_total{…}`,
 /// findings by oracle config in `fuzz_findings_total{config=…}`). The
 /// counters are deterministic for a fixed config; only the timings vary.
@@ -176,11 +176,7 @@ pub fn run_campaign_with(cfg: &CampaignConfig, metrics: &MetricsRegistry) -> Cam
             let s = rng.next_u64();
             (Case::Minc(s, generate_modules(s, &cfg.gen)), "gen")
         };
-        metrics.observe(
-            "fuzz_generate_us",
-            LATENCY_BUCKETS_US,
-            gen_t.elapsed().as_micros() as u64,
-        );
+        metrics.observe("fuzz_generate_us", gen_t.elapsed().as_micros() as u64);
         metrics.inc(&format!("fuzz_cases_total{{source=\"{source}\"}}"));
 
         report.executed += 1;
@@ -191,11 +187,7 @@ pub fn run_campaign_with(cfg: &CampaignConfig, metrics: &MetricsRegistry) -> Cam
             }
             Case::Ir(_, p) => check_program_with(p, &cfg.oracle, Some(metrics)),
         };
-        metrics.observe(
-            "fuzz_oracle_us",
-            LATENCY_BUCKETS_US,
-            oracle_t.elapsed().as_micros() as u64,
-        );
+        metrics.observe("fuzz_oracle_us", oracle_t.elapsed().as_micros() as u64);
         let label = match &outcome {
             CaseOutcome::Pass => "pass",
             CaseOutcome::Skip(_) => "skip",
@@ -214,11 +206,7 @@ pub fn run_campaign_with(cfg: &CampaignConfig, metrics: &MetricsRegistry) -> Cam
                         report.daemon_checks += 1;
                         let daemon_t = Instant::now();
                         let checked = daemon.check(&print_sources(modules));
-                        metrics.observe(
-                            "fuzz_daemon_us",
-                            LATENCY_BUCKETS_US,
-                            daemon_t.elapsed().as_micros() as u64,
-                        );
+                        metrics.observe("fuzz_daemon_us", daemon_t.elapsed().as_micros() as u64);
                         if let Err(detail) = checked {
                             let finding = Finding {
                                 kind: FindingKind::DaemonMismatch,
@@ -241,11 +229,7 @@ pub fn run_campaign_with(cfg: &CampaignConfig, metrics: &MetricsRegistry) -> Cam
                         report.incremental_checks += 1;
                         let daemon_t = Instant::now();
                         let checked = daemon.check_incremental(&print_sources(modules));
-                        metrics.observe(
-                            "fuzz_daemon_us",
-                            LATENCY_BUCKETS_US,
-                            daemon_t.elapsed().as_micros() as u64,
-                        );
+                        metrics.observe("fuzz_daemon_us", daemon_t.elapsed().as_micros() as u64);
                         if let Err(detail) = checked {
                             let finding = Finding {
                                 kind: FindingKind::IncrementalDivergence,
@@ -348,11 +332,7 @@ fn record(
         }
         Case::Ir(_, p) => ReproBody::Ir(hlo_ir::program_to_text(p)),
     };
-    metrics.observe(
-        "fuzz_shrink_us",
-        LATENCY_BUCKETS_US,
-        shrink_t.elapsed().as_micros() as u64,
-    );
+    metrics.observe("fuzz_shrink_us", shrink_t.elapsed().as_micros() as u64);
     let lines = match &body {
         ReproBody::Minc(s) => source_lines(s),
         ReproBody::Ir(t) => t.lines().count(),

@@ -215,39 +215,6 @@ impl CacheOutcome {
     }
 }
 
-/// Aggregate counters, served by the `stats` request.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheStats {
-    /// Whole-program lookups that hit.
-    pub hits: u64,
-    /// Whole-program lookups that missed.
-    pub misses: u64,
-    /// Program entries evicted by capacity pressure.
-    pub evictions: u64,
-    /// Cumulative function-store hits.
-    pub func_hits: u64,
-    /// Cumulative function-store misses.
-    pub func_misses: u64,
-    /// Whole-program lookups that found an entry whose build profile had
-    /// drifted past threshold — re-optimized, not served (continuous
-    /// PGO). Disjoint from `hits` and `misses`.
-    pub stale_hits: u64,
-    /// Program entries currently resident.
-    pub entries: u64,
-    /// Bytes of cached payload currently resident (IR text + report text
-    /// over every entry) — the occupancy number behind `cache_bytes`.
-    pub resident_bytes: u64,
-    /// Cumulative partition-store splices (incremental builds).
-    pub partition_hits: u64,
-    /// Cumulative partitions re-optimized by incremental builds.
-    pub partition_rebuilds: u64,
-    /// Requests that fell back to a full rebuild because they were not
-    /// partition-cacheable or an incremental build failed verification.
-    pub incr_fallbacks: u64,
-    /// Partition bodies currently resident in the partition store.
-    pub partition_entries: u64,
-}
-
 /// Bounded program cache + function store. Not internally synchronized —
 /// the daemon wraps it in its shared-state lock.
 #[derive(Debug)]
@@ -267,7 +234,8 @@ pub struct ResultCache {
     /// several generations of edits warm).
     parts: HashMap<u64, ReusedPartition>,
     part_order: VecDeque<u64>,
-    stats: CacheStats,
+    /// Bytes of cached payload resident over every program entry.
+    resident_bytes: u64,
 }
 
 impl ResultCache {
@@ -282,13 +250,13 @@ impl ResultCache {
             func_order: VecDeque::new(),
             parts: HashMap::new(),
             part_order: VecDeque::new(),
-            stats: CacheStats::default(),
+            resident_bytes: 0,
         }
     }
 
-    /// Looks up a request: returns the cached result on a program hit and
-    /// updates every counter either way. Function-store accounting runs on
-    /// hits too (a hit means every cone key hits).
+    /// Looks up a request: returns the cached result on a program hit, and
+    /// the function-store split either way (a hit means every cone key
+    /// hits).
     pub fn lookup(&mut self, key: &RequestKey) -> (Option<CachedResult>, CacheOutcome) {
         let mut outcome = CacheOutcome::default();
         for &fk in &key.funcs {
@@ -298,18 +266,11 @@ impl ResultCache {
                 outcome.func_misses += 1;
             }
         }
-        self.stats.func_hits += outcome.func_hits;
-        self.stats.func_misses += outcome.func_misses;
-
         let hit = self.entries.get(&key.program).cloned();
         if hit.is_some() {
             outcome.hit = true;
-            self.stats.hits += 1;
             self.touch(key.program);
-        } else {
-            self.stats.misses += 1;
         }
-        self.stats.entries = self.entries.len() as u64;
         (hit, outcome)
     }
 
@@ -320,10 +281,10 @@ impl ResultCache {
     pub fn insert(&mut self, key: &RequestKey, result: CachedResult) -> u64 {
         let mut evicted = 0;
         if self.cap > 0 {
-            self.stats.resident_bytes += result.payload_bytes();
+            self.resident_bytes += result.payload_bytes();
             match self.entries.entry(key.program) {
                 MapEntry::Occupied(mut e) => {
-                    self.stats.resident_bytes -= e.get().payload_bytes();
+                    self.resident_bytes -= e.get().payload_bytes();
                     e.insert(result);
                     self.touch(key.program);
                 }
@@ -335,9 +296,8 @@ impl ResultCache {
             while self.entries.len() > self.cap {
                 if let Some(old) = self.order.pop_front() {
                     if let Some(r) = self.entries.remove(&old) {
-                        self.stats.resident_bytes -= r.payload_bytes();
+                        self.resident_bytes -= r.payload_bytes();
                     }
-                    self.stats.evictions += 1;
                     evicted += 1;
                 } else {
                     break;
@@ -357,7 +317,6 @@ impl ResultCache {
                 break;
             }
         }
-        self.stats.entries = self.entries.len() as u64;
         evicted
     }
 
@@ -390,31 +349,16 @@ impl ResultCache {
                 break;
             }
         }
-        self.stats.partition_entries = self.parts.len() as u64;
     }
 
-    /// Records one incremental build's partition outcome.
-    pub fn note_incremental(&mut self, hits: u64, rebuilds: u64) {
-        self.stats.partition_hits += hits;
-        self.stats.partition_rebuilds += rebuilds;
-    }
-
-    /// Records one request that fell back to a full rebuild.
-    pub fn note_incr_fallback(&mut self) {
-        self.stats.incr_fallbacks += 1;
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Reclassifies the most recent hit as a stale hit: the entry was
-    /// resident, but the daemon found its build profile drifted past
-    /// threshold and re-optimized instead of serving it.
-    pub fn mark_stale(&mut self) {
-        self.stats.hits = self.stats.hits.saturating_sub(1);
-        self.stats.stale_hits += 1;
+    /// Occupancy: `(program entries, resident payload bytes, partition
+    /// entries)`.
+    pub fn occupancy(&self) -> (u64, u64, u64) {
+        (
+            self.entries.len() as u64,
+            self.resident_bytes,
+            self.parts.len() as u64,
+        )
     }
 
     fn touch(&mut self, program: u64) {
@@ -555,7 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_and_counters() {
+    fn lru_eviction_and_occupancy() {
         let mut cache = ResultCache::new(2);
         let k = |n: u64| RequestKey {
             program: n,
@@ -578,17 +522,12 @@ mod tests {
         assert!(!cache.lookup(&k(2)).1.hit);
         assert!(cache.lookup(&k(1)).1.hit);
         assert!(cache.lookup(&k(3)).1.hit);
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.hits, 3);
-        assert_eq!(s.misses, 2);
         // Two resident entries, "ir1" and "ir3": 3 bytes each.
-        assert_eq!(s.resident_bytes, 6);
+        assert_eq!(cache.occupancy(), (2, 6, 0));
     }
 
     #[test]
-    fn outcome_text_roundtrips_and_stale_reclassifies_hits() {
+    fn outcome_text_roundtrips_and_entries_keep_their_build_profile() {
         let out = CacheOutcome {
             hit: false,
             func_hits: 4,
@@ -620,10 +559,6 @@ mod tests {
         let (got, out) = cache.lookup(&k);
         assert_eq!(got.unwrap().profile_text, "func m f 1\nblocks 1\nend\n");
         assert!(out.hit);
-        cache.mark_stale();
-        let s = cache.stats();
-        assert_eq!(s.hits, 0);
-        assert_eq!(s.stale_hits, 1);
     }
 
     #[test]
@@ -636,18 +571,13 @@ mod tests {
         for i in 0..64u64 {
             cache.insert_partition(i, stored());
         }
-        assert_eq!(cache.stats().partition_entries, 64);
+        assert_eq!(cache.occupancy().2, 64);
         // Touch key 0 so it is no longer coldest, then overflow by one.
         assert!(cache.probe_partition(0).is_some());
         cache.insert_partition(64, stored());
-        assert_eq!(cache.stats().partition_entries, 64);
+        assert_eq!(cache.occupancy().2, 64);
         assert!(cache.probe_partition(0).is_some(), "touched key survives");
         assert!(cache.probe_partition(1).is_none(), "coldest key evicted");
-        cache.note_incremental(5, 2);
-        cache.note_incr_fallback();
-        let s = cache.stats();
-        assert_eq!((s.partition_hits, s.partition_rebuilds), (5, 2));
-        assert_eq!(s.incr_fallbacks, 1);
     }
 
     #[test]
@@ -665,7 +595,7 @@ mod tests {
                 profile_text: String::new(),
             },
         );
-        assert_eq!(cache.stats().resident_bytes, 6);
+        assert_eq!(cache.occupancy().1, 6);
         // Replacing the same key swaps the bytes, not adds them.
         cache.insert(
             &k,
@@ -675,13 +605,13 @@ mod tests {
                 profile_text: String::new(),
             },
         );
-        assert_eq!(cache.stats().resident_bytes, 2);
+        assert_eq!(cache.occupancy().1, 2);
         // Evicting releases them.
         let k2 = RequestKey {
             program: 2,
             funcs: vec![],
         };
-        cache.insert(
+        let evicted = cache.insert(
             &k2,
             CachedResult {
                 ir_text: "wxyz".to_string(),
@@ -689,8 +619,7 @@ mod tests {
                 profile_text: String::new(),
             },
         );
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.resident_bytes, 4);
+        assert_eq!(evicted, 1);
+        assert_eq!(cache.occupancy(), (1, 4, 0));
     }
 }

@@ -1,11 +1,13 @@
 //! Blocking client for the daemon — what `hloc serve` / `hloc remote`
 //! and the serve benchmark speak.
 
+use crate::server::REQUEST_PHASES;
 use crate::wire::{Frame, FrameError, Kind, Sections, DEFAULT_MAX_PAYLOAD};
 use crate::{
     OptimizeRequest, OptimizeResponse, ProfilePushOutcome, ProfilePushRequest, ProfileStatsReply,
     TraceFetchReply,
 };
+use std::collections::HashMap;
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Mints a request trace id: 16 lowercase hex digits, unique enough for a
@@ -73,7 +75,8 @@ impl From<FrameError> for ServeError {
     }
 }
 
-/// Daemon-side counters, as returned by [`Client::stats`].
+/// Daemon-side counters, as returned by [`Client::stats`]: a typed view of
+/// the daemon's metrics exposition.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Milliseconds since the daemon started.
@@ -127,86 +130,83 @@ pub struct ServeStats {
     pub traces_stored: u64,
     /// Structured events emitted since the daemon started.
     pub events_emitted: u64,
-    /// Aggregate `(stage, wall_us, work_us)` over all non-cached runs.
+    /// Aggregate `(stage, wall_us, work_us)` over all non-cached runs,
+    /// sorted by stage name.
     pub stages: Vec<(String, u64, u64)>,
-    /// Per-phase request latency `(phase, count, sum_us)`, in the order
-    /// the daemon reports them (queue wait, cache probe, optimize, reply).
+    /// Per-phase request latency `(phase, count, sum_us)`, in request
+    /// order (queue wait, cache probe, optimize, reply).
     pub latencies: Vec<(String, u64, u64)>,
     /// Per-phase latency quantiles `(phase, p50_us, p95_us, p99_us)` from
-    /// the daemon's streaming sketches, in reporting order.
+    /// the daemon's streaming sketches, in request order.
     pub quantiles: Vec<(String, u64, u64, u64)>,
 }
 
 impl ServeStats {
+    /// Reads the daemon's metrics exposition (the body of both `stats`
+    /// and `metrics` replies). Series the daemon has not recorded yet
+    /// read as zero.
     fn from_text(text: &str) -> Result<ServeStats, String> {
-        fn num(parts: &mut std::str::SplitWhitespace, line: &str) -> Result<u64, String> {
-            parts
-                .next()
-                .and_then(|w| w.parse().ok())
-                .ok_or_else(|| format!("bad stats line `{line}`"))
+        let mut series = HashMap::new();
+        for (name, value) in hlo::parse_exposition(text)? {
+            let value =
+                u64::try_from(value).map_err(|_| format!("negative sample for `{name}`"))?;
+            series.insert(name, value);
         }
-        let mut st = ServeStats::default();
-        for line in text.lines() {
-            let mut parts = line.split_whitespace();
-            match parts.next().unwrap_or("") {
-                "" => {}
-                "uptime_ms" => st.uptime_ms = num(&mut parts, line)?,
-                "requests" => st.requests = num(&mut parts, line)?,
-                "busy" => st.busy = num(&mut parts, line)?,
-                "errors" => st.errors = num(&mut parts, line)?,
-                "deadline_missed" => st.deadline_missed = num(&mut parts, line)?,
-                "hits" => st.hits = num(&mut parts, line)?,
-                "misses" => st.misses = num(&mut parts, line)?,
-                "stale_hits" => st.stale_hits = num(&mut parts, line)?,
-                "evictions" => st.evictions = num(&mut parts, line)?,
-                "func_hits" => st.func_hits = num(&mut parts, line)?,
-                "func_misses" => st.func_misses = num(&mut parts, line)?,
-                "entries" => st.entries = num(&mut parts, line)?,
-                "cache_bytes" => st.cache_bytes = num(&mut parts, line)?,
-                "partition_hits" => st.partition_hits = num(&mut parts, line)?,
-                "partition_rebuilds" => st.partition_rebuilds = num(&mut parts, line)?,
-                "incr_fallbacks" => st.incr_fallbacks = num(&mut parts, line)?,
-                "partition_entries" => st.partition_entries = num(&mut parts, line)?,
-                "pgo_pushes" => st.pgo_pushes = num(&mut parts, line)?,
-                "reoptimizations" => st.reoptimizations = num(&mut parts, line)?,
-                "pgo_programs" => st.pgo_programs = num(&mut parts, line)?,
-                "pgo_bytes" => st.pgo_bytes = num(&mut parts, line)?,
-                "slow_requests" => st.slow_requests = num(&mut parts, line)?,
-                "flight_records" => st.flight_records = num(&mut parts, line)?,
-                "traces_stored" => st.traces_stored = num(&mut parts, line)?,
-                "events_emitted" => st.events_emitted = num(&mut parts, line)?,
-                "stage" => {
-                    let name = parts
-                        .next()
-                        .ok_or_else(|| format!("bad stats line `{line}`"))?
-                        .to_string();
-                    let wall = num(&mut parts, line)?;
-                    let work = num(&mut parts, line)?;
-                    st.stages.push((name, wall, work));
-                }
-                "latency" => {
-                    let phase = parts
-                        .next()
-                        .ok_or_else(|| format!("bad stats line `{line}`"))?
-                        .to_string();
-                    let count = num(&mut parts, line)?;
-                    let sum = num(&mut parts, line)?;
-                    st.latencies.push((phase, count, sum));
-                }
-                "quantile" => {
-                    let phase = parts
-                        .next()
-                        .ok_or_else(|| format!("bad stats line `{line}`"))?
-                        .to_string();
-                    let p50 = num(&mut parts, line)?;
-                    let p95 = num(&mut parts, line)?;
-                    let p99 = num(&mut parts, line)?;
-                    st.quantiles.push((phase, p50, p95, p99));
-                }
-                _ => {} // forward compatibility: ignore unknown counters
-            }
-        }
-        Ok(st)
+        let get = |name: &str| series.get(name).copied().unwrap_or(0);
+        let mut stages: Vec<(String, u64, u64)> = series
+            .iter()
+            .filter_map(|(name, &wall)| {
+                let stage = name
+                    .strip_prefix("optimize_stage_wall_us_total{stage=\"")?
+                    .strip_suffix("\"}")?;
+                let work = get(&format!(
+                    "optimize_stage_work_us_total{{stage=\"{stage}\"}}"
+                ));
+                Some((stage.to_string(), wall, work))
+            })
+            .collect();
+        stages.sort_unstable();
+        let phase = |phase: &str, suffix: &str| get(&format!("request_{phase}_us{suffix}"));
+        Ok(ServeStats {
+            uptime_ms: get("uptime_ms"),
+            requests: get("requests_total"),
+            busy: get("request_busy_total"),
+            errors: get("request_errors_total"),
+            deadline_missed: get("request_deadline_missed_total"),
+            hits: get("cache_hits_total"),
+            misses: get("cache_misses_total"),
+            stale_hits: get("cache_stale_total"),
+            evictions: get("cache_evictions_total"),
+            func_hits: get("cache_func_hits_total"),
+            func_misses: get("cache_func_misses_total"),
+            entries: get("cache_entries"),
+            cache_bytes: get("cache_resident_bytes"),
+            partition_hits: get("incr_partition_hits_total"),
+            partition_rebuilds: get("incr_partition_rebuilds_total"),
+            incr_fallbacks: get("incr_fallback_total"),
+            partition_entries: get("partition_entries"),
+            pgo_pushes: get("pgo_push_total"),
+            // Every stale hit is exactly one drift-triggered rebuild.
+            reoptimizations: get("cache_stale_total"),
+            pgo_programs: get("pgo_programs"),
+            pgo_bytes: get("pgo_resident_bytes"),
+            slow_requests: get("request_slow_total"),
+            flight_records: get("flight_records"),
+            traces_stored: get("traces_stored"),
+            events_emitted: get("events_emitted"),
+            stages,
+            latencies: REQUEST_PHASES
+                .iter()
+                .map(|p| (p.to_string(), phase(p, "_count"), phase(p, "_sum")))
+                .collect(),
+            quantiles: REQUEST_PHASES
+                .iter()
+                .map(|p| {
+                    let q = |q: &str| phase(p, &format!("{{quantile=\"{q}\"}}"));
+                    (p.to_string(), q("0.5"), q("0.95"), q("0.99"))
+                })
+                .collect(),
+        })
     }
 }
 
@@ -432,57 +432,63 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_text_parses() {
-        let text = "uptime_ms 1234\nrequests 10\nbusy 1\nerrors 2\ndeadline_missed 0\n\
-                    hits 6\nmisses 4\nevictions 0\nfunc_hits 40\nfunc_misses 9\nentries 4\n\
-                    cache_bytes 2048\npgo_pushes 3\nreoptimizations 1\nstale_hits 1\n\
-                    partition_hits 5\npartition_rebuilds 2\nincr_fallbacks 1\n\
-                    partition_entries 12\npgo_programs 2\npgo_bytes 128\n\
-                    slow_requests 2\nflight_records 8\ntraces_stored 3\nevents_emitted 40\n\
-                    stage inline 500 1200\nstage clone 80 90\n\
-                    latency queue_wait 10 90\nlatency optimize 4 44000\n\
-                    quantile queue_wait 9 80 88\nfuture_counter 7\n";
-        let st = ServeStats::from_text(text).unwrap();
+    fn stats_exposition_parses() {
+        let m = hlo::MetricsRegistry::new();
+        m.set_gauge("uptime_ms", 1234);
+        m.add("requests_total", 10);
+        m.add("cache_hits_total", 6);
+        m.add("cache_misses_total", 3);
+        m.inc("cache_stale_total");
+        m.set_gauge("cache_entries", 4);
+        m.set_gauge("cache_resident_bytes", 2048);
+        m.add("pgo_push_total", 3);
+        m.add("incr_partition_hits_total", 5);
+        m.add("optimize_stage_wall_us_total{stage=\"inline\"}", 500);
+        m.add("optimize_stage_work_us_total{stage=\"inline\"}", 1200);
+        m.add("optimize_stage_wall_us_total{stage=\"clone.plan\"}", 80);
+        m.add("optimize_stage_work_us_total{stage=\"clone.plan\"}", 90);
+        for us in [10, 20, 60] {
+            m.observe("request_queue_wait_us", us);
+        }
+        m.inc("future_counter_total");
+        let st = ServeStats::from_text(&m.expose()).unwrap();
         assert_eq!(st.uptime_ms, 1234);
         assert_eq!(st.requests, 10);
-        assert_eq!(st.hits, 6);
-        assert_eq!(st.entries, 4);
-        assert_eq!(st.cache_bytes, 2048);
+        assert_eq!((st.hits, st.misses, st.stale_hits), (6, 3, 1));
+        assert_eq!(st.reoptimizations, 1, "one rebuild per stale hit");
+        assert_eq!((st.entries, st.cache_bytes), (4, 2048));
         assert_eq!(st.pgo_pushes, 3);
-        assert_eq!(st.reoptimizations, 1);
-        assert_eq!(st.stale_hits, 1);
-        assert_eq!(st.pgo_programs, 2);
-        assert_eq!(st.pgo_bytes, 128);
         assert_eq!(st.partition_hits, 5);
-        assert_eq!(st.partition_rebuilds, 2);
-        assert_eq!(st.incr_fallbacks, 1);
-        assert_eq!(st.partition_entries, 12);
+        assert_eq!(st.busy, 0, "unrecorded series read as zero");
         assert_eq!(
             st.stages,
             vec![
-                ("inline".to_string(), 500, 1200),
-                ("clone".to_string(), 80, 90)
+                ("clone.plan".to_string(), 80, 90),
+                ("inline".to_string(), 500, 1200)
             ]
         );
+        // Every phase is reported, in request order, observed or not.
+        let phases: Vec<&str> = st.latencies.iter().map(|(p, ..)| p.as_str()).collect();
+        assert_eq!(phases, REQUEST_PHASES);
+        assert_eq!(st.latencies[0], ("queue_wait".to_string(), 3, 90));
+        assert_eq!(st.latencies[2], ("optimize".to_string(), 0, 0));
+        let sketch = m.sketch("request_queue_wait_us");
         assert_eq!(
-            st.latencies,
-            vec![
-                ("queue_wait".to_string(), 10, 90),
-                ("optimize".to_string(), 4, 44000)
-            ]
+            st.quantiles[0],
+            (
+                "queue_wait".to_string(),
+                sketch.quantile(500),
+                sketch.quantile(950),
+                sketch.quantile(990)
+            )
         );
-        assert_eq!(st.slow_requests, 2);
-        assert_eq!(st.flight_records, 8);
-        assert_eq!(st.traces_stored, 3);
-        assert_eq!(st.events_emitted, 40);
-        assert_eq!(st.quantiles, vec![("queue_wait".to_string(), 9, 80, 88)]);
     }
 
     #[test]
-    fn malformed_stats_line_is_an_error() {
-        assert!(ServeStats::from_text("requests ten\n").is_err());
+    fn malformed_stats_exposition_is_an_error() {
+        assert!(ServeStats::from_text("requests_total ten\n").is_err());
         assert!(ServeStats::from_text("stage inline 5\n").is_err());
-        assert!(ServeStats::from_text("quantile queue_wait 9 80\n").is_err());
+        assert!(ServeStats::from_text("cache_entries -1\n").is_err());
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   fixed worker pool, per-request deadlines, `Busy` backpressure and
 //!   graceful drain-on-shutdown.
 //! * [`client`] — the blocking client `hloc serve` / `hloc remote` use.
-//! * [`fault`] — the planted stale-cone-key fault `cargo fuzzgate` uses
-//!   to prove the incremental edit oracle can catch stale reuse.
+//! * [`fault`] — planted faults: the stale-cone-key fault `cargo fuzzgate`
+//!   uses to prove the incremental edit oracle can catch stale reuse, and
+//!   a worker panic proving a panic costs its own request only.
 //!
 //! A request carries MinC sources or IR text plus [`HloOptions`]; the
 //! response carries optimized IR text, the [`HloReport`] and the cache
@@ -38,7 +39,7 @@ pub mod incremental;
 pub mod server;
 pub mod wire;
 
-pub use cache::{CacheOutcome, CacheStats, CachedResult, RequestKey, ResultCache};
+pub use cache::{CacheOutcome, CachedResult, RequestKey, ResultCache};
 pub use client::{mint_trace_id, Client, ServeError, ServeStats};
 pub use server::{ServeConfig, Server};
 

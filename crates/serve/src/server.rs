@@ -26,18 +26,18 @@ use crate::{
 use hlo::par::effective_jobs;
 use hlo::{
     chrome_trace_json, CallGraphCache, Event, EventLevel, EventLog, FlightRecord, FlightRecorder,
-    HloOptions, MetricsRegistry, PartitionAction, QuantileSketch, TraceLevel, Tracer,
-    DRIFT_BUCKETS_MILLIS, LATENCY_BUCKETS_US,
+    HloOptions, MetricsRegistry, PartitionAction, TraceLevel, Tracer,
 };
 use hlo_ir::Program;
 use hlo_pgo::ProfileStore;
 use hlo_profile::ProfileDb;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Daemon configuration.
@@ -119,29 +119,15 @@ struct Job {
     reply: mpsc::Sender<Frame>,
 }
 
-/// Names of the per-request phase latency histograms, in request order:
-/// time spent queued, probing the cache, optimizing (misses only), and
-/// writing the reply. Each is a `request_<phase>_us` histogram over
-/// [`LATENCY_BUCKETS_US`].
-pub const REQUEST_PHASES: &[&str] = &["queue_wait", "cache_probe", "optimize", "reply"];
+/// The per-request phases, in request order: time spent queued, probing
+/// the cache, optimizing (misses only), and building the reply. Each is
+/// observed into the `request_<phase>_us` summary.
+pub(crate) const REQUEST_PHASES: &[&str] = &["queue_wait", "cache_probe", "optimize", "reply"];
 
-fn phase_metric(phase: &str) -> String {
-    format!("request_{phase}_us")
-}
-
-/// Records one measured phase duration into both the fixed-bucket
-/// histogram (`metrics` exposition) and the streaming quantile sketch
-/// (`stats` p50/p95/p99).
-fn observe_phase(shared: &Shared, phase: &str, us: u64) {
-    shared
-        .metrics
-        .observe(&phase_metric(phase), LATENCY_BUCKETS_US, us);
-    if let Some(i) = REQUEST_PHASES.iter().position(|p| *p == phase) {
-        shared.sketches[i]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record(us);
-    }
+/// Locks `m`, recovering the data if a panicking request poisoned it: a
+/// panic costs that request only, never the daemon's shared state.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Microseconds since daemon start — the `ts` field on emitted events
@@ -161,7 +147,7 @@ fn id_field(trace_id: &str) -> &str {
 }
 
 /// Dumps the flight recorder into the event log — the incident record
-/// written whenever a request traps, is refused, or runs slow.
+/// written whenever a request traps, panics, is refused, or runs slow.
 fn auto_dump(shared: &Shared, trigger: &str) {
     if !shared.events.enabled() {
         return;
@@ -181,7 +167,7 @@ fn auto_dump(shared: &Shared, trigger: &str) {
 
 /// Finishes a failed optimize request: narrates it in the event log,
 /// records it in the flight recorder, and builds the error reply. The
-/// caller bumps whichever counter classifies the failure.
+/// caller counts whichever metric classifies the failure.
 fn job_failed(
     shared: &Shared,
     trace_id: &str,
@@ -211,37 +197,6 @@ fn job_failed(
     error_frame(msg)
 }
 
-/// Counters behind the `stats` request (cache counters live in
-/// [`ResultCache`]).
-#[derive(Debug, Default)]
-struct Counters {
-    requests: u64,
-    busy: u64,
-    errors: u64,
-    deadline_missed: u64,
-    /// Accepted `profile-push` requests.
-    pgo_pushes: u64,
-    /// Cached results re-optimized because their build profile drifted
-    /// past threshold (one per stale hit).
-    reoptimizations: u64,
-    /// Aggregated per-stage `(name, wall_us, work_us)` over every
-    /// non-cached optimize this daemon ran.
-    stages: Vec<(String, u64, u64)>,
-}
-
-impl Counters {
-    fn add_stages(&mut self, report: &hlo::HloReport) {
-        for t in &report.stage_timings {
-            if let Some(e) = self.stages.iter_mut().find(|(n, _, _)| *n == t.stage) {
-                e.1 += t.wall_us;
-                e.2 += t.work_us;
-            } else {
-                self.stages.push((t.stage.clone(), t.wall_us, t.work_us));
-            }
-        }
-    }
-}
-
 struct Shared {
     cfg: ServeConfig,
     queue: Mutex<std::collections::VecDeque<Job>>,
@@ -255,9 +210,8 @@ struct Shared {
     /// `profile-push` on connection threads and read at dequeue time by
     /// `profile: server` requests.
     pgo: Mutex<ProfileStore>,
-    counters: Mutex<Counters>,
-    /// Request counters and phase-latency histograms, exposed by the
-    /// `metrics` request in Prometheus text form.
+    /// The daemon's only bookkeeping: every event is one update here, and
+    /// `stats` and `metrics` both answer with its exposition.
     metrics: MetricsRegistry,
     /// The structured event log (file and/or stderr sinks per config).
     events: EventLog,
@@ -267,11 +221,6 @@ struct Shared {
     /// by `trace-fetch`. Rendered text is stored (not the tracer itself)
     /// so a fetch is a pure copy.
     traces: Mutex<std::collections::VecDeque<TraceFetchReply>>,
-    /// Streaming phase-latency quantile sketches, parallel to
-    /// [`REQUEST_PHASES`].
-    sketches: Vec<Mutex<QuantileSketch>>,
-    /// Requests past the `slow_ms` threshold.
-    slow: AtomicU64,
     started: Instant,
     addr: SocketAddr,
 }
@@ -309,16 +258,10 @@ impl Server {
             in_flight: AtomicU64::new(0),
             cache: Mutex::new(ResultCache::new(cfg.cache_cap)),
             pgo: Mutex::new(pgo),
-            counters: Mutex::new(Counters::default()),
             metrics: MetricsRegistry::new(),
             events,
             flight: FlightRecorder::new(cfg.flight_cap),
             traces: Mutex::new(std::collections::VecDeque::new()),
-            sketches: REQUEST_PHASES
-                .iter()
-                .map(|_| Mutex::new(QuantileSketch::new()))
-                .collect(),
-            slow: AtomicU64::new(0),
             started: Instant::now(),
             addr: local,
             cfg,
@@ -374,7 +317,7 @@ fn begin_drain(shared: &Arc<Shared>) {
     // visible (workers drain the queue before exiting) or refused — never
     // stranded in a queue no worker will look at again.
     {
-        let _q = shared.queue.lock().unwrap();
+        let _q = lock(&shared.queue);
         if shared.draining.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -415,8 +358,8 @@ fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
         };
         let reply = match frame.kind {
             Kind::Ping => Frame::bare(Kind::Pong),
-            Kind::Stats => stats_frame(shared),
-            Kind::Metrics => metrics_frame(shared),
+            Kind::Stats => exposition_frame(shared, Kind::StatsReply, "stats"),
+            Kind::Metrics => exposition_frame(shared, Kind::MetricsReply, "metrics"),
             Kind::ProfilePush => profile_push_frame(shared, &frame),
             Kind::ProfileStats => profile_stats_frame(shared, &frame),
             Kind::TraceFetch => trace_fetch_frame(shared, &frame),
@@ -467,7 +410,7 @@ fn submit(shared: &Arc<Shared>, frame: &Frame) -> Submitted {
     let sections = match Sections::decode(&frame.payload) {
         Ok(s) => s,
         Err(e) => {
-            shared.counters.lock().unwrap().errors += 1;
+            shared.metrics.inc("request_errors_total");
             return Submitted::Reply(job_failed(
                 shared,
                 "",
@@ -481,7 +424,7 @@ fn submit(shared: &Arc<Shared>, frame: &Frame) -> Submitted {
     let req = match OptimizeRequest::from_sections(&sections) {
         Ok(r) => r,
         Err(e) => {
-            shared.counters.lock().unwrap().errors += 1;
+            shared.metrics.inc("request_errors_total");
             return Submitted::Reply(job_failed(
                 shared,
                 "",
@@ -518,7 +461,7 @@ fn submit(shared: &Arc<Shared>, frame: &Frame) -> Submitted {
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     let (tx, rx) = mpsc::channel();
     {
-        let mut q = shared.queue.lock().unwrap();
+        let mut q = lock(&shared.queue);
         // Checked under the queue lock — see `begin_drain`.
         if shared.draining.load(Ordering::SeqCst) {
             drop(q);
@@ -526,7 +469,7 @@ fn submit(shared: &Arc<Shared>, frame: &Frame) -> Submitted {
             return Submitted::Reply(error_frame("daemon is draining"));
         }
         if q.len() >= shared.cfg.queue_cap {
-            shared.counters.lock().unwrap().busy += 1;
+            shared.metrics.inc("request_busy_total");
             drop(q);
             refuse("busy");
             return Submitted::Reply(Frame::bare(Kind::Busy));
@@ -538,7 +481,6 @@ fn submit(shared: &Arc<Shared>, frame: &Frame) -> Submitted {
             req_bytes,
             reply: tx,
         });
-        shared.counters.lock().unwrap().requests += 1;
         shared.metrics.inc("requests_total");
     }
     shared.work_ready.notify_one();
@@ -548,7 +490,7 @@ fn submit(shared: &Arc<Shared>, frame: &Frame) -> Submitted {
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let job = {
-            let mut q = shared.queue.lock().unwrap();
+            let mut q = lock(&shared.queue);
             loop {
                 if let Some(j) = q.pop_front() {
                     break Some(j);
@@ -556,13 +498,34 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if shared.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                q = shared.work_ready.wait(q).unwrap();
+                q = shared.work_ready.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
         let Some(job) = job else { return };
         let queue_us = job.enqueued.elapsed().as_micros() as u64;
-        observe_phase(shared, "queue_wait", queue_us);
-        let reply = run_job(shared, &job, queue_us);
+        shared.metrics.observe("request_queue_wait_us", queue_us);
+        // A panic costs its own request only: it is answered with an error
+        // frame, counted, and flight-dumped, and this worker keeps serving.
+        let reply = std::panic::catch_unwind(AssertUnwindSafe(|| run_job(shared, &job, queue_us)))
+            .unwrap_or_else(|payload| {
+                let what = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string panic payload");
+                shared.metrics.inc("request_panics_total");
+                let trace_id = job.req.trace_id.as_deref().unwrap_or_default();
+                let frame = job_failed(
+                    shared,
+                    trace_id,
+                    "panic",
+                    &format!("request panicked: {what}"),
+                    queue_us,
+                    job.req_bytes,
+                );
+                auto_dump(shared, "panic");
+                frame
+            });
         // The connection thread may have died with its client; a closed
         // channel just means nobody wants the answer any more.
         let _ = job.reply.send(reply);
@@ -585,7 +548,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
     );
     if let Some(d) = job.deadline {
         if Instant::now() > d {
-            shared.counters.lock().unwrap().deadline_missed += 1;
+            shared.metrics.inc("request_deadline_missed_total");
             return job_failed(
                 shared,
                 &trace_id,
@@ -614,7 +577,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
         tracer.leaf_seq("queue_wait", Duration::from_micros(queue_us));
     }
     let fail = |reason: &str, msg: &str| -> Frame {
-        shared.counters.lock().unwrap().errors += 1;
+        shared.metrics.inc("request_errors_total");
         job_failed(shared, &trace_id, reason, msg, queue_us, job.req_bytes)
     };
     let mut program = match &req.source {
@@ -642,7 +605,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
     // the first `profile: server` rebuild.
     let pkey = hlo_pgo::program_key(&program);
     {
-        let mut store = shared.pgo.lock().unwrap();
+        let mut store = lock(&shared.pgo);
         let created = store.register(&pkey).expect("program keys are well-formed");
         if created {
             persist_store(shared, &store);
@@ -669,7 +632,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
             // drift check (below) can decide hit vs stale, and a
             // server-mode request must never collide with a profile-free
             // one.
-            let merged = shared.pgo.lock().unwrap().merged(&pkey);
+            let merged = lock(&shared.pgo).merged(&pkey);
             (merged, SERVER_PROFILE_MARKER.to_string(), true)
         }
     };
@@ -678,7 +641,16 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
     let probe_t = Instant::now();
     let mut cg = CallGraphCache::new();
     let key = request_key(&program, &req.options, &key_profile_text, &mut cg);
-    let (cached, mut outcome) = shared.cache.lock().unwrap().lookup(&key);
+    let (cached, mut outcome) = {
+        let mut cache = lock(&shared.cache);
+        let found = cache.lookup(&key);
+        // The planted fault panics with the cache lock held, so the next
+        // request proves the poisoned lock is recovered.
+        if crate::fault::panic_armed_for(&trace_id) {
+            panic!("planted worker panic");
+        }
+        found
+    };
 
     // Continuous PGO: a resident entry is only servable while the
     // aggregate is still within threshold of the profile it was built
@@ -692,18 +664,11 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
             let report = hlo_pgo::drift(&built_with, &current, shared.cfg.pgo_hot_set);
             let threshold = shared.cfg.pgo_threshold_millis;
             outcome.drift_millis = report.score_millis();
-            shared.metrics.observe(
-                "pgo_drift_millis",
-                DRIFT_BUCKETS_MILLIS,
-                report.score_millis(),
-            );
+            shared
+                .metrics
+                .observe("pgo_drift_millis", report.score_millis());
             pgo_line = Some(report.summary(threshold));
             if report.exceeds(threshold) {
-                let mut cache = shared.cache.lock().unwrap();
-                cache.mark_stale();
-                drop(cache);
-                shared.counters.lock().unwrap().reoptimizations += 1;
-                shared.metrics.inc("pgo_reoptimize_total");
                 shared.events.emit(
                     &Event::new(EventLevel::Warn, "pgo.reoptimize")
                         .field("ts", event_ts(shared))
@@ -721,16 +686,25 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
         other => other,
     };
     let probe_us = probe_t.elapsed().as_micros() as u64;
-    observe_phase(shared, "cache_probe", probe_us);
+    shared.metrics.observe("request_cache_probe_us", probe_us);
     phases.push(("cache_probe".to_string(), probe_us));
     if traced {
         tracer.leaf_seq("cache_probe", Duration::from_micros(probe_us));
     }
-    shared.metrics.inc(if outcome.hit {
-        "cache_hits_total"
-    } else {
-        "cache_misses_total"
-    });
+    // Hits, misses and stale hits are disjoint: a stale hit re-optimizes
+    // but is neither a hit nor a miss.
+    let (outcome_str, counter) = match (outcome.stale, outcome.hit) {
+        (true, _) => ("stale", "cache_stale_total"),
+        (false, true) => ("hit", "cache_hits_total"),
+        (false, false) => ("miss", "cache_misses_total"),
+    };
+    shared.metrics.inc(counter);
+    shared
+        .metrics
+        .add("cache_func_hits_total", outcome.func_hits);
+    shared
+        .metrics
+        .add("cache_func_misses_total", outcome.func_misses);
 
     let (ir_text, report_text) = match cached {
         Some(c) => (c.ir_text, c.report_text),
@@ -749,12 +723,22 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
                 &trace_id,
             );
             let opt_us = opt_t.elapsed().as_micros() as u64;
-            observe_phase(shared, "optimize", opt_us);
+            shared.metrics.observe("request_optimize_us", opt_us);
             phases.push(("optimize".to_string(), opt_us));
             let ir_text = hlo_ir::program_to_text(&program);
             let report_text = report.to_text();
-            shared.counters.lock().unwrap().add_stages(&report);
-            let evicted = shared.cache.lock().unwrap().insert(
+            for t in &report.stage_timings {
+                let stage = &t.stage;
+                shared.metrics.add(
+                    &format!("optimize_stage_wall_us_total{{stage=\"{stage}\"}}"),
+                    t.wall_us,
+                );
+                shared.metrics.add(
+                    &format!("optimize_stage_work_us_total{{stage=\"{stage}\"}}"),
+                    t.work_us,
+                );
+            }
+            let evicted = lock(&shared.cache).insert(
                 &key,
                 CachedResult {
                     ir_text: ir_text.clone(),
@@ -762,6 +746,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
                     profile_text,
                 },
             );
+            shared.metrics.add("cache_evictions_total", evicted);
             if evicted > 0 {
                 shared.events.emit(
                     &Event::new(EventLevel::Info, "cache.evict")
@@ -774,13 +759,6 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
     };
     // Tag leaves: zero-duration stage spans naming the cache outcome and
     // partition reuse counts, so a span tree is self-describing.
-    let outcome_str = if outcome.stale {
-        "stale"
-    } else if outcome.hit {
-        "hit"
-    } else {
-        "miss"
-    };
     if traced {
         tracer.leaf_seq(&format!("outcome.{outcome_str}"), Duration::ZERO);
         tracer.leaf_seq(
@@ -816,7 +794,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
     }
     let frame = Frame::new(Kind::Result, &s);
     let reply_us = reply_t.elapsed().as_micros() as u64;
-    observe_phase(shared, "reply", reply_us);
+    shared.metrics.observe("request_reply_us", reply_us);
     phases.push(("reply".to_string(), reply_us));
     let wall_us: u64 = phases.iter().map(|(_, us)| us).sum();
 
@@ -832,7 +810,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
             wall_us,
             phases: phases.clone(),
         };
-        let mut traces = shared.traces.lock().unwrap();
+        let mut traces = lock(&shared.traces);
         traces.push_back(stored);
         while traces.len() > shared.cfg.trace_cap.max(1) {
             traces.pop_front();
@@ -875,7 +853,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
     }
     if let Some(slow_ms) = shared.cfg.slow_ms {
         if wall_us > slow_ms.saturating_mul(1000) {
-            shared.slow.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc("request_slow_total");
             shared.events.emit(
                 &Event::new(EventLevel::Warn, "request.slow")
                     .field("ts", event_ts(shared))
@@ -912,7 +890,6 @@ fn optimize_miss(
     trace_id: &str,
 ) -> hlo::HloReport {
     let note_fallback = |shared: &Arc<Shared>, reason: &str| {
-        shared.cache.lock().unwrap().note_incr_fallback();
         shared.metrics.inc("incr_fallback_total");
         shared.events.emit(
             &Event::new(EventLevel::Warn, "incr.fallback")
@@ -927,7 +904,7 @@ fn optimize_miss(
                 let pkeys =
                     incremental::partition_keys(program, &partitions, &key.funcs, profile_salt);
                 let plan: Vec<PartitionAction> = {
-                    let mut cache = shared.cache.lock().unwrap();
+                    let mut cache = lock(&shared.cache);
                     pkeys
                         .iter()
                         .map(|&k| match cache.probe_partition(k) {
@@ -951,20 +928,15 @@ fn optimize_miss(
                 if hits == 0 || hlo_ir::verify_program(program).is_ok() {
                     outcome.partition_hits = hits;
                     outcome.partition_rebuilds = rebuilds;
-                    {
-                        let mut cache = shared.cache.lock().unwrap();
-                        cache.note_incremental(hits, rebuilds);
-                        // A build that renamed globals mutated state
-                        // outside its partitions' bodies — its outputs
-                        // are not pure functions of their partitions, so
-                        // they must not seed future splices.
-                        if !out.log.globals_mutated {
-                            for (pi, &k) in pkeys.iter().enumerate() {
-                                cache.insert_partition(
-                                    k,
-                                    hlo::extract_partition(program, &out.log, pi),
-                                );
-                            }
+                    // A build that renamed globals mutated state outside
+                    // its partitions' bodies — its outputs are not pure
+                    // functions of their partitions, so they must not
+                    // seed future splices.
+                    if !out.log.globals_mutated {
+                        let mut cache = lock(&shared.cache);
+                        for (pi, &k) in pkeys.iter().enumerate() {
+                            cache
+                                .insert_partition(k, hlo::extract_partition(program, &out.log, pi));
                         }
                     }
                     shared.metrics.add("incr_partition_hits_total", hits);
@@ -1053,7 +1025,7 @@ fn persist_store(shared: &Arc<Shared>, store: &ProfileStore) {
 /// aggregate, persist. Every refusal leaves the store untouched.
 fn profile_push_frame(shared: &Arc<Shared>, frame: &Frame) -> Frame {
     let fail = |msg: String| {
-        shared.counters.lock().unwrap().errors += 1;
+        shared.metrics.inc("request_errors_total");
         error_frame(&msg)
     };
     let sections = match Sections::decode(&frame.payload) {
@@ -1068,7 +1040,7 @@ fn profile_push_frame(shared: &Arc<Shared>, frame: &Frame) -> Frame {
         Ok(d) => d,
         Err(e) => return fail(format!("bad profile delta: {e}")),
     };
-    let mut store = shared.pgo.lock().unwrap();
+    let mut store = lock(&shared.pgo);
     if req.advance > 0 {
         // Validates the key and that the program is known; the merge
         // below can no longer fail after this succeeds.
@@ -1086,7 +1058,6 @@ fn profile_push_frame(shared: &Arc<Shared>, frame: &Frame) -> Frame {
     };
     persist_store(shared, &store);
     drop(store);
-    shared.counters.lock().unwrap().pgo_pushes += 1;
     shared.metrics.inc("pgo_push_total");
     let out = ProfilePushOutcome {
         generation: outcome.generation,
@@ -1107,7 +1078,7 @@ fn profile_stats_frame(shared: &Arc<Shared>, frame: &Frame) -> Frame {
         Ok(s) => s,
         Err(e) => return error_frame(&format!("bad stats payload: {e}")),
     };
-    let store = shared.pgo.lock().unwrap();
+    let store = lock(&shared.pgo);
     let mut s = Sections::new();
     if let Some(raw) = sections.get("program") {
         let key = match std::str::from_utf8(raw) {
@@ -1167,7 +1138,7 @@ fn trace_fetch_frame(shared: &Arc<Shared>, frame: &Frame) -> Frame {
     if !crate::valid_trace_id(&id) {
         return error_frame(&format!("bad trace id `{id}` (want 16 lowercase hex)"));
     }
-    let traces = shared.traces.lock().unwrap();
+    let traces = lock(&shared.traces);
     // Newest first: if the same id was (unwisely) reused, the most
     // recent request wins.
     match traces.iter().rev().find(|t| t.trace_id == id) {
@@ -1189,104 +1160,29 @@ fn flight_dump_frame(shared: &Arc<Shared>) -> Frame {
     Frame::new(Kind::FlightReply, &s)
 }
 
-fn stats_frame(shared: &Arc<Shared>) -> Frame {
-    use std::fmt::Write as _;
-    let cache = shared.cache.lock().unwrap().stats();
-    let c = shared.counters.lock().unwrap();
-    let mut text = String::new();
-    let _ = writeln!(text, "uptime_ms {}", shared.started.elapsed().as_millis());
-    let _ = writeln!(text, "requests {}", c.requests);
-    let _ = writeln!(text, "busy {}", c.busy);
-    let _ = writeln!(text, "errors {}", c.errors);
-    let _ = writeln!(text, "deadline_missed {}", c.deadline_missed);
-    let _ = writeln!(text, "hits {}", cache.hits);
-    let _ = writeln!(text, "misses {}", cache.misses);
-    let _ = writeln!(text, "stale_hits {}", cache.stale_hits);
-    let _ = writeln!(text, "evictions {}", cache.evictions);
-    let _ = writeln!(text, "func_hits {}", cache.func_hits);
-    let _ = writeln!(text, "func_misses {}", cache.func_misses);
-    let _ = writeln!(text, "entries {}", cache.entries);
-    let _ = writeln!(text, "cache_bytes {}", cache.resident_bytes);
-    let _ = writeln!(text, "partition_hits {}", cache.partition_hits);
-    let _ = writeln!(text, "partition_rebuilds {}", cache.partition_rebuilds);
-    let _ = writeln!(text, "incr_fallbacks {}", cache.incr_fallbacks);
-    let _ = writeln!(text, "partition_entries {}", cache.partition_entries);
-    let _ = writeln!(text, "pgo_pushes {}", c.pgo_pushes);
-    let _ = writeln!(text, "reoptimizations {}", c.reoptimizations);
-    let _ = writeln!(
-        text,
-        "slow_requests {}",
-        shared.slow.load(Ordering::Relaxed)
-    );
-    let _ = writeln!(text, "flight_records {}", shared.flight.len());
-    let _ = writeln!(
-        text,
-        "traces_stored {}",
-        shared.traces.lock().unwrap().len()
-    );
-    let _ = writeln!(text, "events_emitted {}", shared.events.emitted());
-    let pgo = shared.pgo.lock().unwrap().stats();
-    let _ = writeln!(text, "pgo_programs {}", pgo.programs);
-    let _ = writeln!(text, "pgo_bytes {}", pgo.resident_bytes);
-    for (name, wall, work) in &c.stages {
-        let _ = writeln!(text, "stage {name} {wall} {work}");
-    }
-    drop(c);
-    for phase in REQUEST_PHASES {
-        let (count, sum) = shared.metrics.histogram(&phase_metric(phase));
-        let _ = writeln!(text, "latency {phase} {count} {sum}");
-    }
-    for (i, phase) in REQUEST_PHASES.iter().enumerate() {
-        let sketch = shared.sketches[i].lock().unwrap();
-        let _ = writeln!(
-            text,
-            "quantile {phase} {} {} {}",
-            sketch.quantile(500),
-            sketch.quantile(950),
-            sketch.quantile(990)
-        );
+/// Answers both `stats` and `metrics`: reads occupancy into gauges, then
+/// replies with the registry's exposition. Every other number in it was
+/// recorded where its event happened, so the two replies cannot disagree.
+fn exposition_frame(shared: &Shared, kind: Kind, section: &str) -> Frame {
+    let (entries, cache_bytes, partitions) = lock(&shared.cache).occupancy();
+    let pgo = lock(&shared.pgo).stats();
+    let traces = lock(&shared.traces).len() as u64;
+    for (name, value) in [
+        ("cache_entries", entries),
+        ("cache_resident_bytes", cache_bytes),
+        ("partition_entries", partitions),
+        ("pgo_programs", pgo.programs),
+        ("pgo_resident_bytes", pgo.resident_bytes),
+        ("flight_records", shared.flight.len() as u64),
+        ("traces_stored", traces),
+        ("events_emitted", shared.events.emitted()),
+        ("uptime_ms", shared.started.elapsed().as_millis() as u64),
+    ] {
+        shared.metrics.set_gauge(name, value as i64);
     }
     let mut s = Sections::new();
-    s.push("stats", text);
-    Frame::new(Kind::StatsReply, &s)
-}
-
-/// Answers a `metrics` request with the full Prometheus-style text
-/// exposition. Cache occupancy is read at reply time and published as
-/// gauges so scrapes see current state, not last-insert state.
-fn metrics_frame(shared: &Arc<Shared>) -> Frame {
-    let cache = shared.cache.lock().unwrap().stats();
-    shared
-        .metrics
-        .set_gauge("cache_entries", cache.entries as i64);
-    shared
-        .metrics
-        .set_gauge("cache_resident_bytes", cache.resident_bytes as i64);
-    shared
-        .metrics
-        .set_gauge("cache_evictions", cache.evictions as i64);
-    shared
-        .metrics
-        .set_gauge("partition_entries", cache.partition_entries as i64);
-    let pgo = shared.pgo.lock().unwrap().stats();
-    shared
-        .metrics
-        .set_gauge("pgo_programs", pgo.programs as i64);
-    shared
-        .metrics
-        .set_gauge("pgo_resident_bytes", pgo.resident_bytes as i64);
-    for (i, phase) in REQUEST_PHASES.iter().enumerate() {
-        let sketch = shared.sketches[i].lock().unwrap();
-        for (suffix, permille) in [("p50", 500), ("p95", 950), ("p99", 990)] {
-            shared.metrics.set_gauge(
-                &format!("request_{phase}_{suffix}_us"),
-                sketch.quantile(permille) as i64,
-            );
-        }
-    }
-    let mut s = Sections::new();
-    s.push("metrics", shared.metrics.expose());
-    Frame::new(Kind::MetricsReply, &s)
+    s.push(section, shared.metrics.expose());
+    Frame::new(kind, &s)
 }
 
 /// Flush helper for `hlod`'s startup banner; kept here so the binary

@@ -1,6 +1,6 @@
 //! End-to-end daemon tests: real sockets, hostile clients, graceful drain.
 
-use hlo_serve::wire::{Frame, Kind, HEADER_LEN, MAGIC, VERSION};
+use hlo_serve::wire::{Frame, Kind, Sections, HEADER_LEN, MAGIC, VERSION};
 use hlo_serve::{
     Client, OptimizeRequest, ProfilePushRequest, ProfileSpec, ServeConfig, ServeError, Server,
 };
@@ -217,6 +217,21 @@ fn train_arg_runs_the_optimized_program_on_the_bytecode_tier() {
     server.wait();
 }
 
+/// The exposition body of a bare `kind` request's reply, minus the
+/// `uptime_ms` gauge.
+fn raw_exposition(addr: std::net::SocketAddr, kind: Kind, section: &str) -> Vec<String> {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    Frame::bare(kind).write_to(&mut raw).unwrap();
+    let reply = Frame::read_from(&mut raw, 1 << 20).unwrap();
+    let body = Sections::decode(&reply.payload).unwrap();
+    body.text(section)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.starts_with("uptime_ms "))
+        .map(str::to_string)
+        .collect()
+}
+
 /// Pulls one series value out of a Prometheus exposition.
 fn series(text: &str, name: &str) -> Option<i64> {
     text.lines()
@@ -242,7 +257,7 @@ fn metrics_exposition_parses_and_counters_move_cold_to_warm() {
             let mut w = rest.split_whitespace();
             typed.insert(w.next().unwrap().to_string());
             assert!(
-                matches!(w.next(), Some("counter" | "gauge" | "histogram")),
+                matches!(w.next(), Some("counter" | "gauge" | "summary")),
                 "bad TYPE line: {line}"
             );
             continue;
@@ -255,8 +270,7 @@ fn metrics_exposition_parses_and_counters_move_cold_to_warm() {
             .unwrap_or_else(|_| panic!("non-numeric sample: {line}"));
         let base = name.split('{').next().unwrap();
         let base = base
-            .strip_suffix("_bucket")
-            .or_else(|| base.strip_suffix("_sum"))
+            .strip_suffix("_sum")
             .or_else(|| base.strip_suffix("_count"))
             .unwrap_or(base);
         assert!(typed.contains(base), "untyped series `{name}`");
@@ -276,7 +290,7 @@ fn metrics_exposition_parses_and_counters_move_cold_to_warm() {
     assert_eq!(series(&after_warm, "requests_total"), Some(2));
     assert_eq!(series(&after_warm, "cache_hits_total"), Some(1));
     assert_eq!(series(&after_warm, "cache_misses_total"), Some(1));
-    // A hit never runs the optimizer, so that histogram must not move.
+    // A hit never runs the optimizer, so that summary must not move.
     assert_eq!(series(&after_warm, "request_optimize_us_count"), Some(1));
     assert_eq!(series(&after_warm, "request_cache_probe_us_count"), Some(2));
 
@@ -602,22 +616,33 @@ fn continuous_pgo_drift_triggers_reoptimization_and_noop_pushes_do_not() {
     assert_eq!(warm2.outcome.drift_millis, 0);
     assert_eq!(warm2.ir_text, stale.ir_text);
 
-    // Counters, stats and metrics all tell the same story.
+    // Stats and metrics are two views of one registry: they tell the same
+    // story. Hits, misses and stale hits are disjoint.
     let st = client.stats().unwrap();
     assert_eq!(st.pgo_pushes, 2);
     assert_eq!(st.reoptimizations, 1);
     assert_eq!(st.stale_hits, 1);
-    assert_eq!(st.hits, 2, "warm + warm2 (the stale hit was reclassified)");
+    assert_eq!(st.hits, 2, "warm + warm2 (a stale hit is not a hit)");
     assert_eq!(st.misses, 1, "only the cold request was a true miss");
     assert_eq!(st.pgo_programs, 1);
     assert!(st.pgo_bytes > 0);
+    // Four optimize requests passed the deadline check: cold, warm, stale
+    // and warm2. Each is exactly one of hit, miss or stale.
+    assert_eq!(st.requests, 4);
+    assert_eq!(st.hits + st.misses + st.stale_hits, st.requests);
 
     let metrics = client.metrics().unwrap();
     assert_eq!(series(&metrics, "pgo_push_total"), Some(2));
-    assert_eq!(series(&metrics, "pgo_reoptimize_total"), Some(1));
     assert_eq!(series(&metrics, "pgo_drift_millis_count"), Some(3));
     assert_eq!(series(&metrics, "pgo_programs"), Some(1));
-    assert_eq!(series(&metrics, "cache_misses_total"), Some(2));
+    assert_eq!(series(&metrics, "cache_misses_total"), Some(1));
+    assert_eq!(series(&metrics, "cache_stale_total"), Some(1));
+    // Both replies carry the same exposition; only the uptime gauge may
+    // move between two back-to-back reads.
+    assert_eq!(
+        raw_exposition(addr, Kind::Stats, "stats"),
+        raw_exposition(addr, Kind::Metrics, "metrics")
+    );
 
     // profile-stats names the program and returns the merged aggregate:
     // two identical pushes, same generation, so every count doubled.
@@ -734,4 +759,76 @@ fn queued_deadline_expiry_is_reported() {
     }
     client.shutdown().unwrap();
     server.wait();
+}
+
+#[test]
+fn nesting_bomb_gets_an_error_reply_and_the_daemon_keeps_serving() {
+    let server = spawn_default();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let depth = 20_000;
+    let bomb = OptimizeRequest::from_minc(vec![(
+        "m".to_string(),
+        format!(
+            "fn main(x) {{ return {}x{}; }}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        ),
+    )]);
+    match client.optimize(&bomb) {
+        Err(ServeError::Remote(msg)) => {
+            assert!(msg.contains("nesting deeper than"), "{msg}")
+        }
+        other => panic!("expected a compile error, got {other:?}"),
+    }
+    let resp = client.optimize(&minc_request()).unwrap();
+    assert!(!resp.ir_text.is_empty());
+    let st = client.stats().unwrap();
+    assert_eq!((st.errors, st.misses), (1, 1));
+    client.shutdown().unwrap();
+    server.wait();
+}
+
+#[test]
+fn a_panicking_request_costs_that_request_only() {
+    let log = std::env::temp_dir().join(format!("hlo-daemon-panic-{}.log", std::process::id()));
+    let server = Server::spawn(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1, // the next request must be served by the same pool
+            event_log_path: Some(log.clone()),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    let id = "00000000000000f7";
+    let guard = hlo_serve::fault::FaultGuard::arm_panic(id);
+    let mut doomed = minc_request();
+    doomed.trace_id = Some(id.to_string());
+    match client.optimize(&doomed) {
+        Err(ServeError::Remote(msg)) => assert!(msg.contains("panicked"), "{msg}"),
+        other => panic!("expected the planted panic's error reply, got {other:?}"),
+    }
+    drop(guard);
+
+    // The panic poisoned the cache lock mid-probe; the next request on the
+    // same one-worker pool is still answered, byte-identical to in-process.
+    let mut program = hlo_frontc::compile(SOURCES).unwrap();
+    hlo::optimize(&mut program, None, &hlo::HloOptions::default());
+    let resp = client.optimize(&minc_request()).unwrap();
+    assert_eq!(resp.ir_text, hlo_ir::program_to_text(&program));
+
+    let st = client.stats().unwrap();
+    assert_eq!(st.requests, 2);
+    assert_eq!(st.entries, 1);
+    let metrics = client.metrics().unwrap();
+    assert_eq!(series(&metrics, "request_panics_total"), Some(1));
+    client.shutdown().unwrap();
+    server.wait();
+
+    let text = std::fs::read_to_string(&log).unwrap();
+    std::fs::remove_file(&log).ok();
+    assert!(text.contains("trigger=panic"), "no flight dump:\n{text}");
+    assert!(text.contains("reason=panic"), "no failed request:\n{text}");
 }

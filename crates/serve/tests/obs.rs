@@ -136,14 +136,12 @@ fn traced_request_round_trips_spans_flight_and_chrome() {
         );
     }
 
-    // The quantile gauges surface in the metrics exposition.
+    // The same quantiles surface in the metrics exposition.
     let metrics = client.metrics().unwrap();
-    for phase in ["queue_wait", "cache_probe", "optimize", "reply"] {
-        for p in ["p50", "p95", "p99"] {
-            assert!(
-                metrics.contains(&format!("request_{phase}_{p}_us")),
-                "missing request_{phase}_{p}_us in exposition"
-            );
+    for (phase, p50, p95, p99) in &st.quantiles {
+        for (q, v) in [("0.5", p50), ("0.95", p95), ("0.99", p99)] {
+            let line = format!("request_{phase}_us{{quantile=\"{q}\"}} {v}\n");
+            assert!(metrics.contains(&line), "missing `{line}` in exposition");
         }
     }
 
@@ -300,32 +298,28 @@ fn daemon_metric_name_set_is_pinned() {
         names,
         [
             "cache_entries",
-            "cache_evictions",
+            "cache_evictions_total",
+            "cache_func_hits_total",
+            "cache_func_misses_total",
             "cache_hits_total",
             "cache_misses_total",
             "cache_resident_bytes",
+            "events_emitted",
+            "flight_records",
             "incr_partition_hits_total",
             "incr_partition_rebuilds_total",
+            "optimize_stage_wall_us_total",
+            "optimize_stage_work_us_total",
             "partition_entries",
             "pgo_programs",
             "pgo_resident_bytes",
-            "request_cache_probe_p50_us",
-            "request_cache_probe_p95_us",
-            "request_cache_probe_p99_us",
             "request_cache_probe_us",
-            "request_optimize_p50_us",
-            "request_optimize_p95_us",
-            "request_optimize_p99_us",
             "request_optimize_us",
-            "request_queue_wait_p50_us",
-            "request_queue_wait_p95_us",
-            "request_queue_wait_p99_us",
             "request_queue_wait_us",
-            "request_reply_p50_us",
-            "request_reply_p95_us",
-            "request_reply_p99_us",
             "request_reply_us",
             "requests_total",
+            "traces_stored",
+            "uptime_ms",
         ],
         "daemon metric-name set changed — update this golden list \
          deliberately, dashboards depend on it"

@@ -10,7 +10,7 @@
 //!   *caller-supplied* durations, so the recorded tree is a pure function
 //!   of the work performed and replays deterministically;
 //! * [`MetricsRegistry`] — a lock-sharded registry of counters, gauges and
-//!   fixed-bucket histograms, safe to update from the `par.rs` worker pool
+//!   quantile summaries, safe to update from the `par.rs` worker pool
 //!   (all updates commute, so totals are deterministic at any `--jobs`);
 //! * [`DecisionEvent`] — provenance for every inline/clone/outline/
 //!   pure-call decision: site, callee, verdict, reason code, benefit,
@@ -21,8 +21,8 @@
 //! * [`FlightRecorder`] — an always-on, lock-sharded ring of the last N
 //!   request summaries, dumped on demand or when something goes wrong;
 //! * [`QuantileSketch`] — a deterministic, mergeable streaming quantile
-//!   sketch (integer bucket bounds, documented error bound) behind the
-//!   daemon's rolling p50/p95/p99 phase latencies;
+//!   sketch (integer bucket bounds, documented error bound): the registry's
+//!   only distribution type, exposed as p50/p95/p99 summaries;
 //! * exporters — Chrome `trace_event` JSON ([`chrome_trace_json`],
 //!   loadable in Perfetto, validated by [`validate_chrome_trace`]) and a
 //!   Prometheus-style text exposition ([`MetricsRegistry::expose`],
@@ -45,8 +45,7 @@ pub use decision::{DecisionEvent, DecisionKind, Verdict};
 pub use event::{normalize_log, Event, EventLevel, EventLog};
 pub use flight::{parse_flight_dump, FlightRecord, FlightRecorder};
 pub use metrics::{
-    parse_exposition, ExpositionSeries, MetricsRegistry, QuantileSketch, DRIFT_BUCKETS_MILLIS,
-    LATENCY_BUCKETS_US, SKETCH_ERROR_PERCENT,
+    parse_exposition, ExpositionSeries, MetricsRegistry, QuantileSketch, SKETCH_ERROR_PERCENT,
 };
 pub use span::{Span, SpanId, Tracer};
 

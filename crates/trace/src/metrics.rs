@@ -1,39 +1,25 @@
-//! A lock-sharded metrics registry: counters, gauges and fixed-bucket
-//! histograms with a Prometheus-style text exposition.
+//! A lock-sharded metrics registry: counters, gauges and quantile
+//! summaries with a Prometheus-style text exposition.
 //!
 //! Updates take `&self` and are safe from the `par.rs` worker pool. Every
-//! update commutes (counters add, histograms add per bucket, gauges are
-//! last-write-wins and reserved for daemon-side occupancy numbers), so
-//! for the optimizer's deterministic counters the exposed text is
+//! update commutes (counters add, summaries add per sketch bucket, gauges
+//! are last-write-wins and reserved for daemon-side occupancy numbers),
+//! so for the optimizer's deterministic counters the exposed text is
 //! byte-identical at any `--jobs` value. The exposition sorts series by
 //! name, which removes the only other ordering freedom.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-/// Bucket upper bounds (microseconds) used for request/phase latency
-/// histograms: 100 µs to 10 s in half-decade steps.
-pub const LATENCY_BUCKETS_US: &[u64] = &[
-    100, 300, 1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000, 10_000_000,
-];
-
-/// Bucket upper bounds for profile-drift scores, in thousandths of the
-/// maximum drift (a score of 1000 means total divergence). The top
-/// bound equals the maximum, so the `+Inf` bucket stays empty.
-pub const DRIFT_BUCKETS_MILLIS: &[u64] = &[10, 25, 50, 100, 250, 500, 750, 1000];
-
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(u64),
     Gauge(i64),
-    Histogram {
-        bounds: Vec<u64>,
-        /// One count per bound, plus the trailing `+Inf` bucket.
-        counts: Vec<u64>,
-        sum: u64,
-        count: u64,
-    },
+    Summary(Box<QuantileSketch>),
 }
+
+/// The quantiles every summary exposes: `(label value, permille)`.
+const SUMMARY_QUANTILES: [(&str, u64); 3] = [("0.5", 500), ("0.95", 950), ("0.99", 990)];
 
 const SHARD_COUNT: usize = 8;
 
@@ -78,14 +64,29 @@ impl MetricsRegistry {
         f(&mut guard)
     }
 
-    /// Adds `delta` to the counter `name`, creating it at zero.
-    pub fn add(&self, name: &str, delta: u64) {
-        self.with_shard(name, |m| {
-            match m.entry(name.to_string()).or_insert(Metric::Counter(0)) {
-                Metric::Counter(c) => *c += delta,
-                _ => debug_assert!(false, "metric `{name}` is not a counter"),
+    /// Applies `f` to the series `name`, creating it as `init()` first.
+    /// Updating an existing series allocates nothing.
+    fn update(&self, name: &str, init: impl FnOnce() -> Metric, f: impl FnOnce(&mut Metric)) {
+        self.with_shard(name, |m| match m.get_mut(name) {
+            Some(metric) => f(metric),
+            None => {
+                let mut metric = init();
+                f(&mut metric);
+                m.insert(name.to_string(), metric);
             }
         });
+    }
+
+    /// Adds `delta` to the counter `name`, creating it at zero.
+    pub fn add(&self, name: &str, delta: u64) {
+        self.update(
+            name,
+            || Metric::Counter(0),
+            |m| match m {
+                Metric::Counter(c) => *c += delta,
+                _ => debug_assert!(false, "metric `{name}` is not a counter"),
+            },
+        );
     }
 
     /// Increments the counter `name` by one.
@@ -96,42 +97,20 @@ impl MetricsRegistry {
     /// Sets the gauge `name` (last write wins — not deterministic under
     /// concurrency; use only for occupancy-style values).
     pub fn set_gauge(&self, name: &str, value: i64) {
-        self.with_shard(name, |m| {
-            m.insert(name.to_string(), Metric::Gauge(value));
-        });
+        self.update(name, || Metric::Gauge(value), |m| *m = Metric::Gauge(value));
     }
 
-    /// Records `value` into the fixed-bucket histogram `name`. The first
-    /// observation fixes the bucket bounds; later calls may pass the same
-    /// bounds (or any slice — only the first registration counts).
-    pub fn observe(&self, name: &str, bounds: &[u64], value: u64) {
-        self.with_shard(name, |m| {
-            let metric = m
-                .entry(name.to_string())
-                .or_insert_with(|| Metric::Histogram {
-                    bounds: bounds.to_vec(),
-                    counts: vec![0; bounds.len() + 1],
-                    sum: 0,
-                    count: 0,
-                });
-            if let Metric::Histogram {
-                bounds,
-                counts,
-                sum,
-                count,
-            } = metric
-            {
-                let idx = bounds
-                    .iter()
-                    .position(|&b| value <= b)
-                    .unwrap_or(bounds.len());
-                counts[idx] += 1;
-                *sum = sum.saturating_add(value);
-                *count += 1;
-            } else {
-                debug_assert!(false, "metric `{name}` is not a histogram");
-            }
-        });
+    /// Records `value` into the quantile summary `name`, creating it
+    /// empty.
+    pub fn observe(&self, name: &str, value: u64) {
+        self.update(
+            name,
+            || Metric::Summary(Box::default()),
+            |m| match m {
+                Metric::Summary(s) => s.record(value),
+                _ => debug_assert!(false, "metric `{name}` is not a summary"),
+            },
+        );
     }
 
     /// Reads a counter (0 when absent).
@@ -142,26 +121,19 @@ impl MetricsRegistry {
         })
     }
 
-    /// Reads a gauge (0 when absent).
-    pub fn gauge(&self, name: &str) -> i64 {
+    /// Reads a summary's sketch (empty when absent).
+    pub fn sketch(&self, name: &str) -> QuantileSketch {
         self.with_shard(name, |m| match m.get(name) {
-            Some(Metric::Gauge(g)) => *g,
-            _ => 0,
-        })
-    }
-
-    /// Reads a histogram's `(count, sum)` (zeros when absent).
-    pub fn histogram(&self, name: &str) -> (u64, u64) {
-        self.with_shard(name, |m| match m.get(name) {
-            Some(Metric::Histogram { count, sum, .. }) => (*count, *sum),
-            _ => (0, 0),
+            Some(Metric::Summary(s)) => (**s).clone(),
+            _ => QuantileSketch::new(),
         })
     }
 
     /// Renders every series as Prometheus-style text exposition, sorted by
     /// series name. Counter and gauge series print as `name value`;
-    /// histograms expand to `_bucket{le=…}`, `_sum` and `_count` lines.
-    /// One `# TYPE` comment precedes each base name.
+    /// summaries expand to one `quantile="0.5"|"0.95"|"0.99"` line each
+    /// plus `_sum` and `_count` lines, with any inline labels kept. One
+    /// `# TYPE` comment precedes each base name.
     pub fn expose(&self) -> String {
         let mut all: Vec<(String, Metric)> = Vec::new();
         for shard in &self.shards {
@@ -174,12 +146,16 @@ impl MetricsRegistry {
         let mut out = String::new();
         let mut last_base = String::new();
         for (name, metric) in &all {
-            let base = name.split('{').next().unwrap_or(name);
+            // `base{labels}` -> ("base", "labels"); unlabeled -> ("name", "").
+            let (base, labels) = match name.split_once('{') {
+                Some((b, l)) => (b, l.strip_suffix('}').unwrap_or(l)),
+                None => (name.as_str(), ""),
+            };
             if base != last_base {
                 let kind = match metric {
                     Metric::Counter(_) => "counter",
                     Metric::Gauge(_) => "gauge",
-                    Metric::Histogram { .. } => "histogram",
+                    Metric::Summary(_) => "summary",
                 };
                 out.push_str(&format!("# TYPE {base} {kind}\n"));
                 last_base = base.to_string();
@@ -187,21 +163,19 @@ impl MetricsRegistry {
             match metric {
                 Metric::Counter(c) => out.push_str(&format!("{name} {c}\n")),
                 Metric::Gauge(g) => out.push_str(&format!("{name} {g}\n")),
-                Metric::Histogram {
-                    bounds,
-                    counts,
-                    sum,
-                    count,
-                } => {
-                    let mut cum = 0u64;
-                    for (i, b) in bounds.iter().enumerate() {
-                        cum += counts[i];
-                        out.push_str(&format!("{name}_bucket{{le=\"{b}\"}} {cum}\n"));
+                Metric::Summary(s) => {
+                    let sep = if labels.is_empty() { "" } else { "," };
+                    for (q, permille) in SUMMARY_QUANTILES {
+                        let v = s.quantile(permille);
+                        out.push_str(&format!("{base}{{{labels}{sep}quantile=\"{q}\"}} {v}\n"));
                     }
-                    cum += counts[bounds.len()];
-                    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cum}\n"));
-                    out.push_str(&format!("{name}_sum {sum}\n"));
-                    out.push_str(&format!("{name}_count {count}\n"));
+                    let labels = if labels.is_empty() {
+                        String::new()
+                    } else {
+                        format!("{{{labels}}}")
+                    };
+                    out.push_str(&format!("{base}_sum{labels} {}\n", s.sum()));
+                    out.push_str(&format!("{base}_count{labels} {}\n", s.count()));
                 }
             }
         }
@@ -210,13 +184,13 @@ impl MetricsRegistry {
 }
 
 /// One parsed exposition series: `(series name with labels, value)`.
-/// Histogram expansions appear as their individual `_bucket`/`_sum`/
+/// Summary expansions appear as their individual `quantile`/`_sum`/
 /// `_count` series.
 pub type ExpositionSeries = (String, i128);
 
 /// Strictly parses a [`MetricsRegistry::expose`] document back into its
 /// series. Accepted lines are exactly the two shapes the encoder emits:
-/// `# TYPE <base> counter|gauge|histogram` comments and
+/// `# TYPE <base> counter|gauge|summary` comments and
 /// `<series> <integer>` samples (series = identifier, optionally with a
 /// `{key="value",…}` label block). Anything else is an error — this is
 /// the "strict reader" contract the exposition promises scrapers.
@@ -261,7 +235,7 @@ pub fn parse_exposition(text: &str) -> Result<Vec<ExpositionSeries>, String> {
             if !valid_series(base) || parts.next().is_some() {
                 return Err(format!("bad TYPE comment `{line}`"));
             }
-            if !matches!(kind, "counter" | "gauge" | "histogram") {
+            if !matches!(kind, "counter" | "gauge" | "summary") {
                 return Err(format!("bad metric kind in `{line}`"));
             }
             continue;
@@ -313,11 +287,10 @@ pub const SKETCH_ERROR_PERCENT: u64 = 25;
 /// step ([`sketch_bounds`]); a quantile query returns the upper bound of
 /// the bucket holding the requested rank, so the answer overshoots the
 /// true order statistic by at most [`SKETCH_ERROR_PERCENT`] percent and
-/// never undershoots. No clocks, no floats — the text form
-/// ([`QuantileSketch::to_text`]) is integers only and byte-stable, and
-/// merging two sketches is per-bucket addition, so merged totals are
-/// independent of merge order (the same property the registry's counters
-/// rely on).
+/// never undershoots. No clocks, no floats — its exposition (the
+/// registry's summary lines) is integers only, and merging two sketches
+/// is per-bucket addition, so merged totals are independent of merge
+/// order (the same property the registry's counters rely on).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSketch {
     counts: Vec<u64>,
@@ -388,73 +361,6 @@ impl QuantileSketch {
         }
         u64::MAX
     }
-
-    /// Serializes as integer-only text: a version line, totals, then one
-    /// `bucket <index> <count>` line per occupied bucket.
-    pub fn to_text(&self) -> String {
-        let mut out = format!(
-            "quantile-sketch v1\ncount {}\nsum {}\n",
-            self.count, self.sum
-        );
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                out.push_str(&format!("bucket {i} {c}\n"));
-            }
-        }
-        out
-    }
-
-    /// Parses [`QuantileSketch::to_text`]; bucket counts must re-total to
-    /// the `count` line.
-    ///
-    /// # Errors
-    /// Describes the malformed or inconsistent line.
-    pub fn from_text(text: &str) -> Result<QuantileSketch, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some("quantile-sketch v1") {
-            return Err("missing `quantile-sketch v1` header".to_string());
-        }
-        let mut s = QuantileSketch::new();
-        let mut total = 0u64;
-        for line in lines {
-            let mut parts = line.split(' ');
-            match parts.next() {
-                Some("count") => {
-                    s.count = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| format!("bad count line `{line}`"))?;
-                }
-                Some("sum") => {
-                    s.sum = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| format!("bad sum line `{line}`"))?;
-                }
-                Some("bucket") => {
-                    let idx: usize = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&i| i < s.counts.len())
-                        .ok_or_else(|| format!("bad bucket index in `{line}`"))?;
-                    let c: u64 = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| format!("bad bucket count in `{line}`"))?;
-                    s.counts[idx] = c;
-                    total += c;
-                }
-                _ => return Err(format!("bad sketch line `{line}`")),
-            }
-        }
-        if total != s.count {
-            return Err(format!(
-                "bucket counts total {total}, count line says {}",
-                s.count
-            ));
-        }
-        Ok(s)
-    }
 }
 
 #[cfg(test)]
@@ -488,19 +394,35 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_cumulative() {
+    fn summaries_expose_quantiles_sum_and_count() {
         let m = MetricsRegistry::new();
         for v in [50, 150, 150, 5_000_000_000] {
-            m.observe("lat_us", &[100, 1000], v);
+            m.observe("lat_us", v);
         }
-        let (count, sum) = m.histogram("lat_us");
-        assert_eq!(count, 4);
-        assert_eq!(sum, 50 + 150 + 150 + 5_000_000_000);
+        let sketch = m.sketch("lat_us");
+        assert_eq!(sketch.count(), 4);
+        assert_eq!(sketch.sum(), 50 + 150 + 150 + 5_000_000_000);
         let text = m.expose();
-        assert!(text.contains("lat_us_bucket{le=\"100\"} 1"), "{text}");
-        assert!(text.contains("lat_us_bucket{le=\"1000\"} 3"), "{text}");
-        assert!(text.contains("lat_us_bucket{le=\"+Inf\"} 4"), "{text}");
+        assert!(text.contains("# TYPE lat_us summary"), "{text}");
+        for (q, permille) in SUMMARY_QUANTILES {
+            let v = sketch.quantile(permille);
+            assert!(
+                text.contains(&format!("lat_us{{quantile=\"{q}\"}} {v}")),
+                "{text}"
+            );
+        }
+        assert!(text.contains("lat_us_sum 5000000350"), "{text}");
         assert!(text.contains("lat_us_count 4"), "{text}");
+        // Inline labels stay on every expanded line.
+        m.observe("run_us{tier=\"tree\"}", 7);
+        let text = m.expose();
+        assert!(
+            text.contains("run_us{tier=\"tree\",quantile=\"0.5\"} 7"),
+            "{text}"
+        );
+        assert!(text.contains("run_us_sum{tier=\"tree\"} 7"), "{text}");
+        assert!(text.contains("run_us_count{tier=\"tree\"} 1"), "{text}");
+        assert_eq!(m.sketch("absent").count(), 0);
     }
 
     #[test]
@@ -508,8 +430,7 @@ mod tests {
         let m = MetricsRegistry::new();
         m.set_gauge("entries", 3);
         m.set_gauge("entries", 7);
-        assert_eq!(m.gauge("entries"), 7);
-        assert!(m.expose().contains("# TYPE entries gauge"));
+        assert_eq!(m.expose(), "# TYPE entries gauge\nentries 7\n");
     }
 
     #[test]
@@ -517,12 +438,15 @@ mod tests {
         let m = MetricsRegistry::new();
         m.inc("req_total{kind=\"a b\"}");
         m.set_gauge("entries", -3);
-        m.observe("lat_us", &[100, 1000], 150);
+        m.observe("lat_us", 150);
+        m.observe("run_us{tier=\"tree\"}", 8);
         let series = parse_exposition(&m.expose()).unwrap();
         assert!(series.contains(&("req_total{kind=\"a b\"}".to_string(), 1)));
         assert!(series.contains(&("entries".to_string(), -3)));
-        assert!(series.contains(&("lat_us_bucket{le=\"+Inf\"}".to_string(), 1)));
         assert!(series.contains(&("lat_us_count".to_string(), 1)));
+        assert!(series.contains(&("lat_us_sum".to_string(), 150)));
+        assert!(series.contains(&("run_us{tier=\"tree\",quantile=\"0.99\"}".to_string(), 8)));
+        assert!(series.contains(&("run_us_count{tier=\"tree\"}".to_string(), 1)));
 
         assert!(parse_exposition("name\n").is_err()); // no value
         assert!(parse_exposition("name x\n").is_err()); // non-integer
@@ -573,7 +497,7 @@ mod tests {
     }
 
     #[test]
-    fn sketch_merge_is_order_independent_and_text_roundtrips() {
+    fn sketch_merge_is_order_independent() {
         let (mut a, mut b) = (QuantileSketch::new(), QuantileSketch::new());
         for v in [5u64, 70, 70, 9_000] {
             a.record(v);
@@ -587,15 +511,6 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.count(), 7);
-
-        let back = QuantileSketch::from_text(&ab.to_text()).unwrap();
-        assert_eq!(back, ab);
-        assert!(QuantileSketch::from_text("nope").is_err());
-        assert!(QuantileSketch::from_text("quantile-sketch v1\ncount 2\n").is_err());
-        assert!(
-            QuantileSketch::from_text("quantile-sketch v1\ncount 0\nsum 0\nbucket 999999 1\n")
-                .is_err()
-        );
     }
 
     #[test]
@@ -606,12 +521,13 @@ mod tests {
                 s.spawn(|| {
                     for i in 0..1000u64 {
                         m.inc("spins_total");
-                        m.observe("spin_us", LATENCY_BUCKETS_US, i);
+                        m.observe("spin_us", i);
                     }
                 });
             }
         });
         assert_eq!(m.counter("spins_total"), 8000);
-        assert_eq!(m.histogram("spin_us").0, 8000);
+        assert_eq!(m.sketch("spin_us").count(), 8000);
+        assert_eq!(m.sketch("spin_us").sum(), 8 * 999 * 1000 / 2);
     }
 }

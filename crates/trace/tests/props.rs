@@ -1,5 +1,5 @@
 //! Property tests for the observability wire formats: event-log lines,
-//! quantile-sketch text, and the metrics exposition contract.
+//! quantile sketches, and the metrics exposition contract.
 
 use hlo_trace::{
     parse_exposition, Event, EventLevel, MetricsRegistry, QuantileSketch, SKETCH_ERROR_PERCENT,
@@ -45,7 +45,7 @@ proptest! {
     }
 
     #[test]
-    fn sketch_roundtrips_and_honours_its_error_bound(
+    fn sketch_merges_and_honours_its_error_bound(
         values in prop::collection::vec(any::<u64>(), 1..200),
         split in any::<u8>(),
     ) {
@@ -54,10 +54,6 @@ proptest! {
             whole.record(v);
         }
         prop_assert_eq!(whole.count(), values.len() as u64);
-
-        // Text form loses nothing.
-        let back = QuantileSketch::from_text(&whole.to_text()).unwrap();
-        prop_assert_eq!(&back, &whole);
 
         // Merging partial sketches equals recording everything in one.
         let cut = split as usize % values.len();
@@ -108,7 +104,7 @@ proptest! {
             m.set_gauge(&format!("{name}_g"), *g);
         }
         for &v in &observations {
-            m.observe("lat_us", &[100, 1000], v);
+            m.observe("lat_us", v);
         }
         let text = m.expose();
         let series = parse_exposition(&text).unwrap();
@@ -134,11 +130,11 @@ proptest! {
             prop_assert_eq!(got, Some(*total as i128));
         }
         if !observations.is_empty() {
-            let inf = series
+            let count = series
                 .iter()
-                .find(|(n, _)| n == "lat_us_bucket{le=\"+Inf\"}")
+                .find(|(n, _)| n == "lat_us_count")
                 .map(|(_, v)| *v);
-            prop_assert_eq!(inf, Some(observations.len() as i128));
+            prop_assert_eq!(count, Some(observations.len() as i128));
         }
     }
 }

@@ -8,11 +8,11 @@
 //! | `vm_runs_total{tier=…}` | counter | executions started |
 //! | `vm_instructions_total{tier=…}` | counter | instructions retired (successful runs) |
 //! | `vm_dispatch_total{tier=…}` | counter | dispatch-loop iterations (tree: = retired) |
-//! | `vm_exec_us{tier=…}` | histogram | wall time of the run |
-//! | `vm_bytecode_compile_us` | histogram | bytecode tier's compile step |
+//! | `vm_exec_us{tier=…}` | summary | wall time of the run |
+//! | `vm_bytecode_compile_us` | summary | bytecode tier's compile step |
 //!
 //! Tier throughput in instructions/second is
-//! `vm_instructions_total / vm_exec_us.sum`.
+//! `vm_instructions_total / vm_exec_us_sum`.
 
 use crate::bytecode::BytecodeProgram;
 use crate::exec::run_counted;
@@ -20,7 +20,7 @@ use crate::interp::{run_tree, ExecOptions, ExecOutcome, Tier};
 use crate::monitor::ExecMonitor;
 use crate::Trap;
 use hlo_ir::Program;
-use hlo_trace::{MetricsRegistry, LATENCY_BUCKETS_US};
+use hlo_trace::MetricsRegistry;
 use std::time::Instant;
 
 /// [`crate::run_with_monitor`] with tier counters recorded into
@@ -49,11 +49,7 @@ pub fn run_with_monitor_metrics<M: ExecMonitor>(
         Tier::Bytecode => {
             let c0 = Instant::now();
             let bc = BytecodeProgram::compile(p);
-            metrics.observe(
-                "vm_bytecode_compile_us",
-                LATENCY_BUCKETS_US,
-                c0.elapsed().as_micros() as u64,
-            );
+            metrics.observe("vm_bytecode_compile_us", c0.elapsed().as_micros() as u64);
             let t0 = Instant::now();
             let (res, dispatch) = run_counted(&bc, p, args, opts, monitor);
             let retired = res.as_ref().map(|o| o.retired).unwrap_or(0);
@@ -76,7 +72,6 @@ fn record(
     metrics.add(&format!("vm_instructions_total{{tier=\"{t}\"}}"), retired);
     metrics.observe(
         &format!("vm_exec_us{{tier=\"{t}\"}}"),
-        LATENCY_BUCKETS_US,
         elapsed.as_micros() as u64,
     );
 }
@@ -86,6 +81,6 @@ fn record(
 pub fn tier_totals(metrics: &MetricsRegistry, tier: Tier) -> (u64, u64) {
     let t = tier.as_str();
     let insts = metrics.counter(&format!("vm_instructions_total{{tier=\"{t}\"}}"));
-    let (_count, us) = metrics.histogram(&format!("vm_exec_us{{tier=\"{t}\"}}"));
+    let us = metrics.sketch(&format!("vm_exec_us{{tier=\"{t}\"}}")).sum();
     (insts, us)
 }

@@ -52,8 +52,8 @@ fn metrics_summary(m: &hlo::MetricsRegistry) -> String {
         .collect::<Vec<_>>()
         .join("/");
     let mean = |name: &str| {
-        let (count, sum) = m.histogram(name);
-        match sum.checked_div(count) {
+        let s = m.sketch(name);
+        match s.sum().checked_div(s.count()) {
             Some(mean) => format!("{mean}us"),
             None => "-".to_string(),
         }

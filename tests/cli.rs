@@ -186,6 +186,25 @@ fn bad_source_reports_position_and_fails() {
 }
 
 #[test]
+fn nesting_bomb_is_a_positioned_error_not_a_stack_overflow() {
+    let dir = tmpdir("bomb");
+    let bomb = dir.join("bomb.mc");
+    let depth = 20_000;
+    let src = format!(
+        "fn main(x) {{ return {}x{}; }}",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    std::fs::write(&bomb, src).unwrap();
+    let out = hloc().args(["build"]).arg(&bomb).output().unwrap();
+    // hloc's ordinary error exit, not an abort (134) from a blown stack.
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bomb:1:"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+}
+
+#[test]
 fn unknown_command_fails_gracefully() {
     let out = hloc().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());
