@@ -15,7 +15,7 @@
 //! speedup (total tree wall time over total bytecode wall time) must be
 //! at least `--min-speedup` (default 2) or the process exits non-zero.
 
-use hlo_vm::{run_counted, BytecodeProgram, ExecOptions, NullMonitor};
+use hlo_vm::{run_counted, BytecodeProgram, ExecOptions, NullMonitor, Tier};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -60,6 +60,11 @@ fn main() -> ExitCode {
     );
     hlo_bench::rule(79);
 
+    // The tree half names its tier: the default is the bytecode tier.
+    let tree_opts = ExecOptions {
+        tier: Tier::Tree,
+        ..Default::default()
+    };
     let opts = ExecOptions::default();
     let mut rows: Vec<Row> = Vec::new();
     for b in hlo_suite::all_benchmarks() {
@@ -73,7 +78,7 @@ fn main() -> ExitCode {
         // One timed run per tier establishes the parity baseline and the
         // repetition count.
         let t0 = Instant::now();
-        let tree = hlo_vm::run_program(&program, &args, &opts).expect("tree run");
+        let tree = hlo_vm::run_program(&program, &args, &tree_opts).expect("tree run");
         let tree_once_us = t0.elapsed().as_micros() as u64;
         let (bres, _dispatch) = run_counted(&bc, &program, &args, &opts, &mut NullMonitor);
         let byte = bres.expect("bytecode run");
@@ -87,7 +92,7 @@ fn main() -> ExitCode {
         let reps = reps_for(tree_once_us);
         let t0 = Instant::now();
         for _ in 0..reps {
-            let out = hlo_vm::run_program(&program, &args, &opts).expect("tree run");
+            let out = hlo_vm::run_program(&program, &args, &tree_opts).expect("tree run");
             assert_eq!(
                 out.retired, tree.retired,
                 "{}: nondeterministic run",

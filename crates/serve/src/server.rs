@@ -970,20 +970,16 @@ fn optimize_miss(
 /// requests cannot collide.
 const SERVER_PROFILE_MARKER: &str = "profile-mode server\n";
 
-/// Executes the optimized program once on the bytecode tier with `arg`
-/// and summarizes the outcome on one line. The run feeds the daemon's
-/// per-tier VM metrics; a trap (or unparsable IR, which cannot happen for
-/// text the daemon just produced) is reported in the summary, never as a
-/// request failure.
+/// Executes the optimized program once with `arg` and summarizes the
+/// outcome on one line. The run feeds the daemon's per-tier VM metrics;
+/// a trap (or unparsable IR, which cannot happen for text the daemon
+/// just produced) is reported in the summary, never as a request failure.
 fn train_run(ir_text: &str, arg: i64, metrics: &MetricsRegistry) -> String {
     let program = match hlo_ir::parse_program_text(ir_text) {
         Ok(p) => p,
         Err(e) => return format!("error: bad optimized IR: {e}"),
     };
-    let opts = hlo_vm::ExecOptions {
-        tier: hlo_vm::Tier::Bytecode,
-        ..Default::default()
-    };
+    let opts = hlo_vm::ExecOptions::default();
     let mut monitor = hlo_vm::NullMonitor;
     match hlo_vm::run_with_monitor_metrics(&program, &[arg], &opts, &mut monitor, metrics) {
         Ok(out) => format!(

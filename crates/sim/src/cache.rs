@@ -5,7 +5,9 @@
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
-    /// Line size in bytes (power of two).
+    /// Line size in bytes: a power of two, at least 2 (the cache keeps
+    /// `u64::MAX` free to mark invalid ways, and 1-byte lines would let a
+    /// line number reach it).
     pub line_bytes: u64,
     /// Associativity (ways per set).
     pub ways: u32,
@@ -15,9 +17,13 @@ impl CacheConfig {
     /// Number of sets implied by the geometry.
     ///
     /// # Panics
-    /// Panics if the geometry does not divide evenly or is zero-sized.
+    /// Panics if the geometry does not divide evenly or is zero-sized, or
+    /// if lines are not a power of two of at least 2 bytes.
     pub fn sets(&self) -> u64 {
         assert!(self.line_bytes.is_power_of_two(), "line size power of two");
+        // A line number is then below `u64::MAX`, which stays free for
+        // `EMPTY`.
+        assert!(self.line_bytes >= 2, "line size at least 2 bytes");
         assert!(self.ways > 0 && self.size_bytes > 0);
         let sets = self.size_bytes / (self.line_bytes * self.ways as u64);
         assert!(sets > 0, "cache too small for its ways and line size");
@@ -25,13 +31,23 @@ impl CacheConfig {
     }
 }
 
+/// Marks an invalid way (and "no line yet" in `Cache::last_line`).
+const EMPTY: u64 = u64::MAX;
+
 /// A set-associative cache with true-LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: u64,
-    /// Per set: tags in LRU order, most recent first.
-    tags: Vec<Vec<u64>>,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `sets × ways` line numbers, each set's ways most recent first;
+    /// invalid ways are `EMPTY` and sit after the valid ones. A set only
+    /// holds lines whose number maps to it, so the full line number
+    /// compares like a tag.
+    tags: Vec<u64>,
+    /// The line of the previous access, which is the MRU way of its set.
+    last_line: u64,
     accesses: u64,
     misses: u64,
 }
@@ -43,7 +59,9 @@ impl Cache {
         Cache {
             cfg,
             sets,
-            tags: vec![Vec::with_capacity(cfg.ways as usize); sets as usize],
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            tags: vec![EMPTY; sets as usize * cfg.ways as usize],
+            last_line: EMPTY,
             accesses: 0,
             misses: 0,
         }
@@ -54,22 +72,27 @@ impl Cache {
     /// cache did).
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
-        let line = addr / self.cfg.line_bytes;
-        let set = (line % self.sets) as usize;
-        let tag = line / self.sets;
-        let ways = &mut self.tags[set];
-        if let Some(pos) = ways.iter().position(|&t| t == tag) {
-            let t = ways.remove(pos);
-            ways.insert(0, t);
-            true
-        } else {
-            self.misses += 1;
-            if ways.len() == self.cfg.ways as usize {
-                ways.pop();
-            }
-            ways.insert(0, tag);
-            false
+        let line = addr >> self.line_shift;
+        // The previous access left its line MRU in its set and touched
+        // no other set, so a repeat is a hit that changes no state.
+        if line == self.last_line {
+            return true;
         }
+        self.last_line = line;
+        let n = self.cfg.ways as usize;
+        let first = (line % self.sets) as usize * n;
+        let ways = &mut self.tags[first..first + n];
+        let (pos, hit) = match ways.iter().position(|&t| t == line) {
+            Some(pos) => (pos, true),
+            None => {
+                // Evict the LRU way (or drop an `EMPTY` one).
+                self.misses += 1;
+                (n - 1, false)
+            }
+        };
+        ways.copy_within(0..pos, 1);
+        ways[0] = line;
+        hit
     }
 
     /// Total accesses so far.
@@ -156,6 +179,17 @@ mod tests {
             }
         }
         assert_eq!(hits + c.misses(), c.accesses());
+    }
+
+    #[test]
+    #[should_panic(expected = "line size at least 2 bytes")]
+    fn one_byte_lines_panic() {
+        // A 1-byte line number could equal the `EMPTY` sentinel.
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 64,
+            line_bytes: 1,
+            ways: 2,
+        });
     }
 
     #[test]

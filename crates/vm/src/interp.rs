@@ -13,12 +13,14 @@ use hlo_ir::{BinOp, BlockId, Callee, ConstVal, FuncId, Inst, Operand, Program, R
 /// every candidate on both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
-    /// The tree-walking reference interpreter.
-    #[default]
+    /// The tree-walking reference interpreter: the differential oracle
+    /// the bytecode tier is checked against.
     Tree,
     /// The linear-bytecode dispatch loop (`crate::bytecode` +
     /// `crate::exec`): registers resolved to frame slots, block targets
-    /// pre-linked to instruction offsets, constants pooled.
+    /// pre-linked to instruction offsets, constants pooled. The default:
+    /// training, measurement and simulation runs all use it.
+    #[default]
     Bytecode,
 }
 
@@ -59,8 +61,8 @@ pub struct ExecOptions {
     pub fuel: u64,
     /// Stack segment size in bytes.
     pub stack_bytes: u64,
-    /// Which execution engine to use (default: the tree-walking
-    /// reference interpreter).
+    /// Which execution engine to use (default: the bytecode tier; the
+    /// tree walker is the reference).
     pub tier: Tier,
 }
 
@@ -513,10 +515,34 @@ mod tests {
         pb.finish(Some(FuncId(0)))
     }
 
+    /// Runs `p` with no arguments on both tiers, asserts that they agree,
+    /// and returns the result: each test checks the tree walker directly
+    /// and the bytecode tier through the equality.
+    fn run_both(p: &Program, opts: ExecOptions) -> Result<ExecOutcome, Trap> {
+        let tree = run_program(
+            p,
+            &[],
+            &ExecOptions {
+                tier: Tier::Tree,
+                ..opts
+            },
+        );
+        let bc = run_program(
+            p,
+            &[],
+            &ExecOptions {
+                tier: Tier::Bytecode,
+                ..opts
+            },
+        );
+        assert_eq!(tree, bc, "tiers diverged");
+        tree
+    }
+
     #[test]
     fn recursion_works() {
         let p = build_fact();
-        let out = run_program(&p, &[], &ExecOptions::default()).unwrap();
+        let out = run_both(&p, ExecOptions::default()).unwrap();
         assert_eq!(out.ret, 3_628_800);
         assert!(out.retired > 10);
     }
@@ -524,10 +550,9 @@ mod tests {
     #[test]
     fn fuel_exhaustion_traps() {
         let p = build_fact();
-        let err = run_program(
+        let err = run_both(
             &p,
-            &[],
-            &ExecOptions {
+            ExecOptions {
                 fuel: 5,
                 ..Default::default()
             },
@@ -546,7 +571,7 @@ mod tests {
         f.ret(e, None);
         pb.add_function(f.finish(Linkage::Public, Type::Void));
         let p = pb.finish(Some(FuncId(0)));
-        let err = run_program(&p, &[], &ExecOptions::default()).unwrap_err();
+        let err = run_both(&p, ExecOptions::default()).unwrap_err();
         assert!(matches!(err.kind, TrapKind::StackOverflow));
     }
 
@@ -560,7 +585,7 @@ mod tests {
         f.ret(e, Some(q.into()));
         pb.add_function(f.finish(Linkage::Public, Type::I64));
         let p = pb.finish(Some(FuncId(0)));
-        let err = run_program(&p, &[], &ExecOptions::default()).unwrap_err();
+        let err = run_both(&p, ExecOptions::default()).unwrap_err();
         assert!(matches!(err.kind, TrapKind::DivByZero));
         assert_eq!(err.func.as_deref(), Some("main"));
     }
@@ -580,7 +605,7 @@ mod tests {
         f.ret(e, Some(back.into()));
         pb.add_function(f.finish(Linkage::Public, Type::I64));
         let p = pb.finish(Some(FuncId(0)));
-        let out = run_program(&p, &[], &ExecOptions::default()).unwrap();
+        let out = run_both(&p, ExecOptions::default()).unwrap();
         assert_eq!(out.ret, 6);
     }
 
@@ -614,7 +639,7 @@ mod tests {
         rec.ret(join, Some(v.into()));
         pb.add_function(rec.finish(Linkage::Public, Type::I64));
         let p = pb.finish(Some(FuncId(0)));
-        let out = run_program(&p, &[], &ExecOptions::default()).unwrap();
+        let out = run_both(&p, ExecOptions::default()).unwrap();
         assert_eq!(out.ret, 3);
     }
 
@@ -634,7 +659,7 @@ mod tests {
         id.ret(e, Some(Operand::Reg(id.param(0))));
         pb.add_function(id.finish(Linkage::Public, Type::I64));
         let p = pb.finish(Some(FuncId(0)));
-        let out = run_program(&p, &[], &ExecOptions::default()).unwrap();
+        let out = run_both(&p, ExecOptions::default()).unwrap();
         assert_eq!(out.ret, 99);
     }
 
@@ -648,7 +673,7 @@ mod tests {
         main.ret(e, Some(r.into()));
         pb.add_function(main.finish(Linkage::Public, Type::I64));
         let p = pb.finish(Some(FuncId(0)));
-        let err = run_program(&p, &[], &ExecOptions::default()).unwrap_err();
+        let err = run_both(&p, ExecOptions::default()).unwrap_err();
         assert!(matches!(err.kind, TrapKind::BadIndirect { value: 12345 }));
     }
 
@@ -665,7 +690,7 @@ mod tests {
         main.ret(e, None);
         pb.add_function(main.finish(Linkage::Public, Type::Void));
         let p = pb.finish(Some(FuncId(0)));
-        let out = run_program(&p, &[], &ExecOptions::default()).unwrap();
+        let out = run_both(&p, ExecOptions::default()).unwrap();
         assert_eq!(out.output, vec![7]);
         assert_ne!(out.checksum, 0);
     }
@@ -691,7 +716,7 @@ mod tests {
         f.ret(e, Some(s.into()));
         pb.add_function(f.finish(Linkage::Public, Type::I64));
         let p = pb.finish(Some(FuncId(0)));
-        let out = run_program(&p, &[], &ExecOptions::default()).unwrap();
+        let out = run_both(&p, ExecOptions::default()).unwrap();
         assert_eq!(out.ret, 5);
     }
 
@@ -708,7 +733,7 @@ mod tests {
         main.ret(e, Some(r.into()));
         pb.add_function(main.finish(Linkage::Public, Type::I64));
         let p = pb.finish(Some(FuncId(0)));
-        let out = run_program(&p, &[], &ExecOptions::default()).unwrap();
+        let out = run_both(&p, ExecOptions::default()).unwrap();
         assert_eq!(out.ret, 12);
     }
 
@@ -742,7 +767,7 @@ mod tests {
         main.ret(e, Some(s.into()));
         pb.add_function(main.finish(Linkage::Public, Type::I64));
         let p = pb.finish(Some(FuncId(0)));
-        let out = run_program(&p, &[], &ExecOptions::default()).unwrap();
+        let out = run_both(&p, ExecOptions::default()).unwrap();
         assert_eq!(out.ret, 3);
     }
 
@@ -770,18 +795,32 @@ mod tests {
             }
         }
         let p = build_fact();
-        let mut r = Rec::default();
-        run_with_monitor(&p, &[], &ExecOptions::default(), &mut r).unwrap();
-        assert_eq!(r.calls, 10); // fact(10)..fact(1)
-        assert_eq!(r.rets, 11); // + main
-        assert_eq!(r.branches, 10);
-        assert_eq!(r.mems, 0);
+        for tier in [Tier::Tree, Tier::Bytecode] {
+            let mut r = Rec::default();
+            let opts = ExecOptions {
+                tier,
+                ..Default::default()
+            };
+            run_with_monitor(&p, &[], &opts, &mut r).unwrap();
+            assert_eq!(r.calls, 10, "{tier:?}"); // fact(10)..fact(1)
+            assert_eq!(r.rets, 11, "{tier:?}"); // + main
+            assert_eq!(r.branches, 10, "{tier:?}");
+            assert_eq!(r.mems, 0, "{tier:?}");
+        }
     }
 
     #[test]
     fn bytecode_tier_matches_tree_on_fact() {
         let p = build_fact();
-        let tree = run_program(&p, &[], &ExecOptions::default()).unwrap();
+        let tree = run_program(
+            &p,
+            &[],
+            &ExecOptions {
+                tier: Tier::Tree,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let bc = run_program(
             &p,
             &[],
@@ -806,6 +845,7 @@ mod tests {
                 &[],
                 &ExecOptions {
                     fuel,
+                    tier: Tier::Tree,
                     ..Default::default()
                 },
             );
@@ -837,7 +877,7 @@ mod tests {
         v.ret(e, None);
         pb.add_function(v.finish(Linkage::Public, Type::Void));
         let p = pb.finish(Some(FuncId(0)));
-        let out = run_program(&p, &[], &ExecOptions::default()).unwrap();
+        let out = run_both(&p, ExecOptions::default()).unwrap();
         assert_eq!(out.ret, 0);
     }
 }

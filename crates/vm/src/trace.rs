@@ -69,7 +69,7 @@ impl<W: Write> ExecMonitor for TraceMonitor<'_, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_with_monitor, ExecOptions};
+    use crate::{run_with_monitor, ExecOptions, Tier};
     use hlo_ir::{FunctionBuilder, Linkage, Operand, ProgramBuilder, Type};
 
     fn program() -> Program {
@@ -93,33 +93,44 @@ mod tests {
         pb.finish(Some(FuncId(0)))
     }
 
+    /// Traces `p` on `tier` with an instruction budget of `limit`;
+    /// returns the text and the budget left.
+    fn trace(p: &Program, tier: Tier, limit: u64) -> (String, u64) {
+        let mut buf = Vec::new();
+        let mut t = TraceMonitor::new(p, &mut buf, limit);
+        let opts = ExecOptions {
+            tier,
+            ..Default::default()
+        };
+        run_with_monitor(p, &[], &opts, &mut t).unwrap();
+        let left = t.remaining();
+        (String::from_utf8(buf).unwrap(), left)
+    }
+
     #[test]
     fn trace_contains_functions_and_instructions() {
         let p = program();
-        let mut buf = Vec::new();
-        let mut t = TraceMonitor::new(&p, &mut buf, 100);
-        run_with_monitor(&p, &[], &ExecOptions::default(), &mut t).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let (text, _) = trace(&p, Tier::Tree, 100);
         assert!(text.contains("main/b0[0]"), "{text}");
         assert!(text.contains("--> enter helper"), "{text}");
         assert!(text.contains("<-- leave helper"), "{text}");
         assert!(text.contains("Add"), "{text}");
+        assert_eq!(trace(&p, Tier::Bytecode, 100).0, text);
     }
 
     #[test]
     fn limit_stops_output() {
         let p = program();
-        let mut buf = Vec::new();
-        let mut t = TraceMonitor::new(&p, &mut buf, 1);
-        run_with_monitor(&p, &[], &ExecOptions::default(), &mut t).unwrap();
-        assert_eq!(t.remaining(), 0);
-        let text = String::from_utf8(buf).unwrap();
-        // 1 instruction line + possible enter/leave markers suppressed
-        // once the budget is gone.
-        assert_eq!(
-            text.lines().filter(|l| l.contains('[')).count(),
-            1,
-            "{text}"
-        );
+        for tier in [Tier::Tree, Tier::Bytecode] {
+            let (text, left) = trace(&p, tier, 1);
+            assert_eq!(left, 0, "{tier:?}");
+            // 1 instruction line + possible enter/leave markers suppressed
+            // once the budget is gone.
+            assert_eq!(
+                text.lines().filter(|l| l.contains('[')).count(),
+                1,
+                "{tier:?}: {text}"
+            );
+        }
     }
 }

@@ -25,7 +25,7 @@
 //! `--explain[=FN[:bN.iM]]` (print inline/clone/outline/pure-call decision
 //! provenance, optionally filtered to a function or exact site), `--sim`,
 //! `--arg N`, `--tier tree|bytecode` (VM execution engine for `--run`,
-//! `--train`, and `--sim`), `--verify-each`,
+//! `--train`, and `--sim`; default `bytecode`), `--verify-each`,
 //! `--check off|structural|strict`.
 
 use aggressive_inlining::{analysis, frontc, fuzz, hlo, ir, lint, pgo, profile, serve, sim, vm};
@@ -125,7 +125,8 @@ BUILD OPTIONS:
   --train N                profile-guided: training run with scale argument N
   --arg N                  argument passed to main for --run/--sim (default 0)
   --tier tree|bytecode     VM execution engine for --run/--train/--sim
-                           (default: tree; both tiers behave identically)
+                           (default: bytecode; tree is the reference
+                           walker; both tiers behave identically)
   --emit-ir PATH           write optimized IR text to PATH ('-' = stdout)
   --run                    execute the optimized program on the VM
   --trace N                with --run: print the first N executed instructions

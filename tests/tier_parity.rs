@@ -10,7 +10,7 @@
 use aggressive_inlining::ir::{
     BinOp, ConstVal, FuncId, FunctionBuilder, Linkage, Operand, Program, ProgramBuilder, Type,
 };
-use aggressive_inlining::{fuzz, profile, suite, vm};
+use aggressive_inlining::{fuzz, hlo, profile, sim, suite, vm};
 use vm::{run_program, run_with_monitor, ExecOptions, Tier, TrapKind};
 
 fn on(tier: Tier, fuel: u64) -> ExecOptions {
@@ -283,5 +283,36 @@ fn synthesized_profiles_are_byte_identical_over_suite() {
             &on(Tier::Bytecode, ExecOptions::default().fuel),
         );
         assert_eq!(tree.to_text(), bc.to_text(), "{}: profile text", b.name);
+    }
+}
+
+/// Simulates `p` on both tiers and requires identical `SimStats` and
+/// outcome (or the identical trap).
+fn assert_sim_parity(p: &Program, args: &[i64], fuel: u64, what: &str) {
+    let machine = hlo_bench::figure7_machine();
+    let tree = sim::simulate(p, args, &on(Tier::Tree, fuel), &machine);
+    let bc = sim::simulate(p, args, &on(Tier::Bytecode, fuel), &machine);
+    assert_eq!(tree, bc, "{what}: simulation diverged at fuel {fuel}");
+}
+
+#[test]
+fn simulation_is_identical_on_both_tiers() {
+    // Production simulates on the bytecode tier; the tree walker stays
+    // the arbiter of every number Figure 7 reports. Train inputs keep a
+    // debug build of this test to seconds (ref inputs take ~10x longer).
+    let fuel = ExecOptions::default().fuel;
+    for b in suite::figure7_benchmarks() {
+        let base = b.compile().unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        let mut opt = base.clone();
+        hlo::optimize(&mut opt, None, &hlo::HloOptions::default());
+        assert_sim_parity(&base, &[b.train_arg], fuel, b.name);
+        assert_sim_parity(&opt, &[b.train_arg], fuel, b.name);
+    }
+    let cfg = fuzz::IrGenConfig::default();
+    for seed in 0..8u64 {
+        let p = fuzz::generate_program(seed, &cfg);
+        for fuel in [50, 1 << 16] {
+            assert_sim_parity(&p, &[3], fuel, &format!("irgen seed {seed}"));
+        }
     }
 }
