@@ -22,9 +22,8 @@ pub struct CallEdge {
     pub callee: FuncId,
 }
 
-/// One weakly connected component of the call graph — an independent
-/// optimization region for the parallel inline/clone planner (see
-/// [`CallGraph::partitions`]).
+/// One cache partition of the call graph (see
+/// [`CallGraph::cache_partitions`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CallGraphPartition {
     /// Member functions, ascending. Singleton partitions (functions with
@@ -244,56 +243,11 @@ impl CallGraph {
         sccs
     }
 
-    /// Partitions the program into independent optimization regions: the
-    /// weakly connected components of the SCC condensation of the direct
-    /// call graph (equivalently, of the graph itself — condensing cycles
-    /// never merges or splits weak components). No direct-call edge
-    /// crosses a partition boundary, so inline/clone decisions inside one
-    /// partition cannot affect any other: the HLO driver plans partitions
-    /// concurrently and the result is independent of the worker count.
-    ///
-    /// Partitions are returned in ascending order of their smallest
-    /// member `FuncId`; members and edge indices are ascending too, so
-    /// the decomposition is deterministic.
-    pub fn partitions(&self) -> Vec<CallGraphPartition> {
-        let n = self.num_funcs();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]]; // path halving
-                x = parent[x];
-            }
-            x
-        }
-        for e in &self.edges {
-            let a = find(&mut parent, e.site.caller.index());
-            let b = find(&mut parent, e.callee.index());
-            if a != b {
-                // Union by smaller root id keeps roots == smallest member.
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                parent[hi] = lo;
-            }
-        }
-        let mut index_of_root = vec![usize::MAX; n];
-        let mut parts: Vec<CallGraphPartition> = Vec::new();
-        for f in 0..n {
-            let r = find(&mut parent, f);
-            if index_of_root[r] == usize::MAX {
-                index_of_root[r] = parts.len();
-                parts.push(CallGraphPartition::default());
-            }
-            parts[index_of_root[r]].funcs.push(FuncId(f as u32));
-        }
-        for (ei, e) in self.edges.iter().enumerate() {
-            let r = find(&mut parent, e.site.caller.index());
-            parts[index_of_root[r]].edge_indices.push(ei);
-        }
-        parts
-    }
-
     /// Partitions the program into **cache partitions**: the unit of
-    /// function-grain result reuse in the incremental daemon. These are
-    /// the [`CallGraph::partitions`] weak components, except that every
+    /// function-grain result reuse in the incremental daemon, and the unit
+    /// the HLO driver plans each inline and clone pass over. These are the
+    /// weakly connected components of the direct call graph (so no
+    /// direct-call edge crosses a partition boundary), except that every
     /// component touching the *indirect-call environment* — a component
     /// containing an indirect call site, an address-taken function, or a
     /// function whose body takes an address — is merged into a single
@@ -303,8 +257,8 @@ impl CallGraph {
     /// observe each other; keeping them in one partition makes each
     /// partition's optimized output a pure function of its own members.
     ///
-    /// Same ordering guarantees as [`CallGraph::partitions`]: partitions
-    /// ascend by smallest member id, members and edges ascend within.
+    /// Partitions ascend by smallest member id; members and edge indices
+    /// ascend within each, so the decomposition is deterministic.
     pub fn cache_partitions(&self) -> Vec<CallGraphPartition> {
         let n = self.num_funcs();
         let mut parent: Vec<usize> = (0..n).collect();
@@ -477,8 +431,8 @@ impl CallGraph {
 }
 
 /// For each function, the index of its partition within `parts` (which
-/// must cover all `n` functions, as both [`CallGraph::partitions`] and
-/// [`CallGraph::cache_partitions`] guarantee).
+/// must cover all `n` functions, as [`CallGraph::cache_partitions`]
+/// guarantees).
 pub fn partition_index_map(parts: &[CallGraphPartition], n: usize) -> Vec<usize> {
     let mut map = vec![usize::MAX; n];
     for (pi, part) in parts.iter().enumerate() {
@@ -620,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn partitions_split_weak_components() {
+    fn cache_partitions_split_weak_components() {
         // Two islands: {main, a, b, c} (main->a->b->a, main->c direct and
         // indirect) and two isolated helpers {d}, {e} with d->e.
         let mut pb = ProgramBuilder::new();
@@ -643,7 +597,7 @@ mod tests {
         let _ = pb;
 
         let cg = CallGraph::build(&p);
-        let parts = cg.partitions();
+        let parts = cg.cache_partitions();
         assert_eq!(parts.len(), 2);
         assert_eq!(
             parts[0].funcs,
@@ -666,7 +620,7 @@ mod tests {
     fn every_function_lands_in_exactly_one_partition() {
         let p = program();
         let cg = CallGraph::build(&p);
-        let parts = cg.partitions();
+        let parts = cg.cache_partitions();
         let mut seen: Vec<FuncId> = parts.iter().flat_map(|q| q.funcs.clone()).collect();
         seen.sort();
         assert_eq!(seen.len(), p.funcs.len());
@@ -675,9 +629,9 @@ mod tests {
     }
 
     /// Three islands with no address/indirect traffic: cache partitions
-    /// coincide with the plain weak components.
+    /// are the plain weak components.
     #[test]
-    fn cache_partitions_match_partitions_without_indirection() {
+    fn cache_partitions_are_weak_components_without_indirection() {
         let mut pb = ProgramBuilder::new();
         let m = pb.add_module("m");
         for i in 0..3u32 {
@@ -693,8 +647,17 @@ mod tests {
         }
         let p = pb.finish(Some(FuncId(0)));
         let cg = CallGraph::build(&p);
-        assert_eq!(cg.cache_partitions(), cg.partitions());
-        assert_eq!(cg.cache_partitions().len(), 3);
+        let parts = cg.cache_partitions();
+        let funcs: Vec<Vec<FuncId>> = parts.iter().map(|q| q.funcs.clone()).collect();
+        assert_eq!(
+            funcs,
+            (0..3u32)
+                .map(|i| vec![FuncId(2 * i), FuncId(2 * i + 1)])
+                .collect::<Vec<_>>()
+        );
+        for (i, part) in parts.iter().enumerate() {
+            assert_eq!(part.edge_indices, vec![i]);
+        }
     }
 
     /// The base `program()` has an indirect site in main and c's address
@@ -738,8 +701,6 @@ mod tests {
             vec![FuncId(0), FuncId(1), FuncId(2), FuncId(3), FuncId(4)]
         );
         assert_eq!(parts[1].funcs, vec![FuncId(5), FuncId(6)]);
-        // Plain partitions keep t separate (no direct edges touch it).
-        assert_eq!(cg.partitions().len(), 3);
         // Edges are all accounted for.
         let total: usize = parts.iter().map(|q| q.edge_indices.len()).sum();
         assert_eq!(total, cg.edges.len());

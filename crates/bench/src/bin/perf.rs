@@ -4,7 +4,7 @@
 //! `jobs = N` (all hardware threads, floored at 2 so the worker pool is
 //! exercised even on a single-core host) — and verifies that the parallel
 //! build is **byte-identical**: same printed IR, same compile-time units,
-//! same operation count. Any divergence is a bug in the partitioned
+//! same operation count. Any divergence is a bug in the parallel
 //! pipeline and the process exits non-zero, which is what lets `cargo
 //! perf` gate CI on determinism.
 //!

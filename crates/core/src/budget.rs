@@ -87,11 +87,9 @@ impl Budget {
 /// budget, so a partition's plan is a pure function of its members — the
 /// precondition for function-grain result reuse.
 ///
-/// The split mirrors the proportional headroom split the parallel
-/// planner applies within a pass: every partition gets the same growth
-/// *percentage*, so headroom is proportional to partition cost and the
-/// per-partition limits sum to (within integer truncation of) the
-/// whole-program limit.
+/// Every partition gets the same growth *percentage*, so headroom is
+/// proportional to partition cost and the per-partition limits sum to
+/// (within integer truncation of) the whole-program limit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BudgetSet {
     budgets: Vec<Budget>,

@@ -1,14 +1,16 @@
-//! The cloning pass (paper §2.3, Figure 3), partitioned for the
-//! parallel pipeline.
+//! The cloning pass (paper §2.3, Figure 3).
 //!
-//! Clone groups are built per call-graph partition (a group's sites all
-//! call one callee, and a callee and its callers share a partition by
-//! construction), so group building fans out over the worker pool without
-//! any cross-partition coordination. Selection and materialization stay
-//! sequential in partition order: they mutate the program, the clone
-//! database and the budget, and sequential order is what keeps `FuncId`
-//! allocation — and therefore the printed program — byte-identical at any
-//! worker count.
+//! The driver runs one pass per cache partition (see
+//! [`crate::optimize_partial`]) and hands it that partition's function
+//! mask. Clone groups are built over every edge whose caller the mask
+//! selects (a group's sites all call one callee, and a callee and all its
+//! callers share a cache partition), ranked by benefit in one list, and
+//! selected greedily against the partition budget's stage headroom.
+//! Parameter usage is computed per function on the worker pool; group
+//! building, selection and materialization are sequential — they mutate
+//! the program, the clone database and the budget, and sequential order
+//! is what keeps `FuncId` allocation — and therefore the printed program
+//! — byte-identical at any worker count.
 
 use crate::budget::Budget;
 use crate::driver::{HloOptions, Scope};
@@ -16,7 +18,7 @@ use crate::inliner::site_str;
 use crate::legality::clone_restriction;
 use crate::par::{effective_jobs, par_map};
 use crate::transform::{make_clone, redirect_site_to_clone, scale_profile};
-use hlo_analysis::{CallGraph, CallGraphCache, CallGraphPartition, CallSiteRef};
+use hlo_analysis::{CallGraph, CallGraphCache, CallSiteRef};
 use hlo_ir::{Callee, ConstVal, FuncId, Function, Inst, Linkage, Operand, Program};
 use hlo_trace::{DecisionEvent, DecisionKind, Tracer, Verdict};
 use std::collections::{HashMap, HashSet};
@@ -64,8 +66,6 @@ pub struct ClonePassResult {
     pub plan_work: Duration,
     /// Wall-clock time of selection + materialization (sequential).
     pub apply_wall: Duration,
-    /// Apply work (== wall; materialization is sequential).
-    pub apply_work: Duration,
 }
 
 /// Parameter-usage weights: how much a routine would benefit from knowing
@@ -171,32 +171,38 @@ fn context_of(p: &Program, site: &CallSiteRef) -> Vec<Option<ConstVal>> {
     }
 }
 
-/// Builds one partition's clone groups greedily (Figure 3 "build clone
-/// groups"), scanning only the partition's own edges. Read-only; when
-/// `explain` is set, legality rejections come back as decision events
+/// Builds the clone groups of every edge whose caller `mask` selects
+/// (Figure 3 "build clone groups"), ranked by benefit (Figure 3 "select
+/// clones"; the stable sort breaks ties by discovery, i.e. edge, order).
+/// Read-only apart from the legality rejections it reports to `tracer`
 /// (seed-loop only, so each restricted edge reports exactly once).
-#[allow(clippy::too_many_arguments)] // mirrors the pass plumbing
 fn build_groups(
     p: &Program,
     cg: &CallGraph,
-    part: &CallGraphPartition,
+    mask: &[bool],
     usage: &[Vec<f64>],
-    summaries: Option<&hlo_ipa::Summaries>,
     opts: &HloOptions,
     pass: u32,
-    explain: bool,
-) -> (Vec<CloneGroup>, Vec<DecisionEvent>) {
+    tracer: &mut Tracer,
+) -> Vec<CloneGroup> {
+    let summaries = opts.ipa.then(|| hlo_ipa::Summaries::compute(p, cg));
+    let edges: Vec<usize> = (0..cg.edges.len())
+        .filter(|&ei| {
+            mask.get(cg.edges[ei].site.caller.index())
+                .copied()
+                .unwrap_or(false)
+        })
+        .collect();
     let mut claimed: HashSet<usize> = HashSet::new();
     let mut groups: Vec<CloneGroup> = Vec::new();
-    let mut events: Vec<DecisionEvent> = Vec::new();
-    for &ei in &part.edge_indices {
+    for &ei in &edges {
         if claimed.contains(&ei) {
             continue;
         }
         let edge = &cg.edges[ei];
         if let Some(r) = clone_restriction(p, &edge.site, opts.scope) {
-            if explain {
-                events.push(DecisionEvent {
+            if tracer.decisions_enabled() {
+                tracer.decision(DecisionEvent {
                     pass,
                     kind: DecisionKind::Clone,
                     site: site_str(p, &edge.site),
@@ -229,11 +235,11 @@ fn build_groups(
         let spec = CloneSpec { callee, bindings };
 
         // Gather all compatible edges into the group. Every edge calling
-        // this callee lives in this partition, so the partition-local scan
-        // sees exactly what a whole-program scan would.
+        // this callee lives in the same cache partition, so the masked
+        // scan sees exactly what a whole-program scan would.
         let mut sites = Vec::new();
         let mut member_edges = Vec::new();
-        for &ej in &part.edge_indices {
+        for &ej in &edges {
             if claimed.contains(&ej) {
                 continue;
             }
@@ -274,7 +280,10 @@ fn build_groups(
         let mut benefit = calls * value;
         // A removable clonee's specialized body folds without any effect
         // ordering to respect — same bonus the inliner applies.
-        if summaries.is_some_and(|s| s.funcs[callee.index()].removable()) {
+        if summaries
+            .as_ref()
+            .is_some_and(|s| s.funcs[callee.index()].removable())
+        {
             benefit *= crate::inliner::IPA_PURE_BONUS;
         }
 
@@ -296,7 +305,12 @@ fn build_groups(
             retires_clonee,
         });
     }
-    (groups, events)
+    groups.sort_by(|a, b| {
+        b.benefit
+            .partial_cmp(&a.benefit)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    groups
 }
 
 /// The profile count of a call site's block (1.0 when unannotated).
@@ -308,264 +322,168 @@ fn site_weight(p: &Program, site: &CallSiteRef) -> f64 {
         .unwrap_or(1.0)
 }
 
-/// One partition's ranked groups plus its slice of the stage budget.
-struct PartitionGroups {
-    groups: Vec<CloneGroup>,
-    cost: u64,
-    share: u64,
-}
-
-/// Runs one cloning pass under the stage budget. `ops_left` is the
-/// Figure 8 knob: each site replacement consumes one operation.
+/// Runs one cloning pass under the stage budget over the functions
+/// `mask` selects (one cache partition; indices past its end are
+/// unselected). `ops_left` is the Figure 8 knob: each site replacement
+/// consumes one operation.
 #[allow(clippy::too_many_arguments)] // mirrors `inline_pass` plus the cross-pass clone database
 pub fn clone_pass(
     p: &mut Program,
     budget: &mut Budget,
     pass: usize,
     opts: &HloOptions,
-    mask: Option<&[bool]>,
+    mask: &[bool],
     db: &mut CloneDb,
     ops_left: &mut Option<u64>,
     cache: &mut CallGraphCache,
     tracer: &mut Tracer,
 ) -> ClonePassResult {
     let mut result = ClonePassResult::default();
-    let jobs = effective_jobs(opts.jobs);
     let explain = tracer.decisions_enabled();
     let plan_start = Instant::now();
-    let mut par_work = Duration::ZERO;
-    let mut par_wall = Duration::ZERO;
 
     // Per-routine parameter usage (Figure 3 "setup"), one function per
     // work item.
     let t = Instant::now();
-    let usage_out = par_map(jobs, &p.funcs, |_, f| param_usage(f));
-    par_wall += t.elapsed();
+    let usage_out = par_map(effective_jobs(opts.jobs), &p.funcs, |_, f| param_usage(f));
+    let usage_wall = t.elapsed();
     let usage = usage_out.results;
-    par_work += usage_out.work;
 
-    // Build clone groups, one partition per work item. The workers'
-    // legality-rejection events are absorbed sequentially in partition
-    // order — the order a sequential run would emit them.
-    let mut parts: Vec<PartitionGroups> = {
-        let cg = cache.graph(p);
-        // Under a cache-partition mask, drop whole live components up
-        // front: a live component never straddles cache partitions, so
-        // its first member decides for all of them.
-        let partitions: Vec<_> = cg
-            .partitions()
-            .into_iter()
-            .filter(|part| {
-                let selected =
-                    mask.is_none_or(|m| m.get(part.funcs[0].index()).copied().unwrap_or(false));
-                debug_assert!(
-                    mask.is_none()
-                        || !selected
-                        || part.funcs.iter().all(|&f| mask
-                            .unwrap()
-                            .get(f.index())
-                            .copied()
-                            .unwrap_or(false))
-                );
-                selected
-            })
-            .collect();
-        let p_ref: &Program = p;
-        let summaries = opts.ipa.then(|| hlo_ipa::Summaries::compute(p_ref, cg));
-        let t = Instant::now();
-        let out = par_map(jobs, &partitions, |_, part| {
-            build_groups(
-                p_ref,
-                cg,
-                part,
-                &usage,
-                summaries.as_ref(),
-                opts,
-                pass as u32,
-                explain,
-            )
-        });
-        par_wall += t.elapsed();
-        par_work += out.work;
-        let mut parts = Vec::new();
-        for (part, (mut groups, events)) in partitions.iter().zip(out.results) {
-            for e in events {
-                tracer.decision(e);
-            }
-            if groups.is_empty() {
-                continue;
-            }
-            // Rank by benefit (Figure 3 "select clones"); the stable
-            // sort breaks ties by discovery (edge) order.
-            groups.sort_by(|a, b| {
-                b.benefit
-                    .partial_cmp(&a.benefit)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let cost = part
-                .funcs
-                .iter()
-                .map(|&f| {
-                    let s = p_ref.func(f).size();
-                    s * s
-                })
-                .sum();
-            parts.push(PartitionGroups {
-                groups,
-                cost,
-                share: 0,
-            });
-        }
-        parts
-    };
-
-    // Split the stage headroom proportionally to partition compile cost
-    // (floor division: shares never sum past the headroom; one active
-    // partition gets it all, reproducing the unpartitioned behaviour).
-    let headroom = budget.stage_limit(pass).saturating_sub(budget.current());
-    let total_cost: u64 = parts.iter().map(|t| t.cost).sum();
-    for t in &mut parts {
-        t.share = ((headroom as u128 * t.cost as u128) / total_cost.max(1) as u128) as u64;
-    }
+    let groups = build_groups(p, cache.graph(p), mask, &usage, opts, pass as u32, tracer);
     result.plan_wall = plan_start.elapsed();
-    // Work = the sequential remainder (graph query, ranking, shares) plus
-    // the parallel sections' cumulative worker time.
-    result.plan_work = result.plan_wall.saturating_sub(par_wall) + par_work;
+    // Work = the sequential remainder (graph query, group building,
+    // ranking) plus the usage workers' cumulative time.
+    result.plan_work = result.plan_wall.saturating_sub(usage_wall) + usage_out.work;
 
-    // Select under the stage budget, sequentially in partition order.
+    // Select under the stage budget.
     let apply_start = Instant::now();
-    'parts: for part in parts {
-        let mut spent = 0u64;
-        for g in part.groups {
-            if let Some(0) = ops_left {
-                break 'parts;
-            }
-            // A database entry is only reusable while the clone is still
-            // live: a clone whose callers were all inlined or deleted gets
-            // reaped by routine deletion, and its emptied husk must never
-            // be resurrected (it no longer has the clonee's behaviour).
-            let db_hit = opts.clone_db_reuse
-                && db
-                    .get(&g.spec)
-                    .is_some_and(|&id| p.module(p.func(id).module).funcs.contains(&id));
-            let callee_size = p.func(g.spec.callee).size();
-            let cost = if g.retires_clonee || db_hit {
-                0
-            } else {
-                callee_size * callee_size
-            };
-            if spent.saturating_add(cost) > part.share || !budget.fits(pass, cost) {
-                if explain {
-                    tracer.decision(DecisionEvent {
-                        pass: pass as u32,
-                        kind: DecisionKind::Clone,
-                        site: site_str(p, &g.sites[0]),
-                        callee: p.func(g.spec.callee).name.clone(),
-                        verdict: Verdict::Deferred,
-                        reason: "budget-discarded",
-                        benefit: g.benefit,
-                        cost,
-                        budget_before: budget.current(),
-                        budget_after: budget.current(),
-                        profile_weight: site_weight(p, &g.sites[0]),
-                    });
-                }
-                continue; // discarded; may be recreated next pass
-            }
-            let budget_before = budget.current();
-            let first_site = g.sites[0];
-
-            // Materialize through the database.
-            let mut created = false;
-            let clone_id = match db.get(&g.spec) {
-                Some(&id) if db_hit => {
-                    result.clones_reused += 1;
-                    id
-                }
-                _ => {
-                    let id = make_clone(p, &g.spec);
-                    db.insert(g.spec.clone(), id);
-                    result.clones_created += 1;
-                    // Split the clonee's profile between clone and original
-                    // by the group's share of entries.
-                    let group_calls: f64 = g
-                        .sites
-                        .iter()
-                        .map(|s| {
-                            p.func(s.caller)
-                                .profile
-                                .as_ref()
-                                .map(|pr| pr.blocks[s.block.index()])
-                                .unwrap_or(1.0)
-                        })
-                        .sum();
-                    let entry = p
-                        .func(g.spec.callee)
-                        .entry_count()
-                        .filter(|&e| e > 0.0)
-                        .unwrap_or_else(|| group_calls.max(1.0));
-                    let share = (group_calls / entry).clamp(0.0, 1.0);
-                    scale_profile(&mut p.func_mut(id).profile, share);
-                    scale_profile(&mut p.func_mut(g.spec.callee).profile, 1.0 - share);
-                    result.created_ids.push(id);
-                    created = true;
-                    id
-                }
-            };
-
-            // Redirect the group's call sites; each rewritten caller's
-            // cached scan goes stale. (New clone bodies need no
-            // invalidation — the cache picks up appended functions.)
-            for site in &g.sites {
-                if let Some(left) = ops_left {
-                    if *left == 0 {
-                        break;
-                    }
-                    *left -= 1;
-                }
-                redirect_site_to_clone(p, site, &g.spec, clone_id);
-                cache.invalidate(site.caller);
-                result.sites_replaced += 1;
-            }
-
-            // Optimize the new clone so the bound constants take effect
-            // before costing (Figure 3 "optimize clones and recalibrate").
-            // Reused clones were already paid for when they were created.
-            let mut charged = 0u64;
-            if created {
-                hlo_opt::optimize_function(p.func_mut(clone_id));
-                let s = p.func(clone_id).size();
-                budget.charge(s * s);
-                spent = spent.saturating_add(s * s);
-                charged = s * s;
-            }
+    for g in groups {
+        if let Some(0) = ops_left {
+            break;
+        }
+        // A database entry is only reusable while the clone is still
+        // live: a clone whose callers were all inlined or deleted gets
+        // reaped by routine deletion, and its emptied husk must never
+        // be resurrected (it no longer has the clonee's behaviour).
+        let db_hit = opts.clone_db_reuse
+            && db
+                .get(&g.spec)
+                .is_some_and(|&id| p.module(p.func(id).module).funcs.contains(&id));
+        let callee_size = p.func(g.spec.callee).size();
+        let cost = if g.retires_clonee || db_hit {
+            0
+        } else {
+            callee_size * callee_size
+        };
+        if !budget.fits(pass, cost) {
             if explain {
-                // One event per group: the first site stands for the
-                // group, the cost is what was actually charged.
                 tracer.decision(DecisionEvent {
                     pass: pass as u32,
                     kind: DecisionKind::Clone,
-                    site: site_str(p, &first_site),
-                    callee: p.func(clone_id).name.clone(),
-                    verdict: Verdict::Performed,
-                    reason: if db_hit {
-                        "db-reuse"
-                    } else if g.retires_clonee {
-                        "retires-clonee"
-                    } else {
-                        "accepted"
-                    },
+                    site: site_str(p, &g.sites[0]),
+                    callee: p.func(g.spec.callee).name.clone(),
+                    verdict: Verdict::Deferred,
+                    reason: "budget-discarded",
                     benefit: g.benefit,
-                    cost: charged,
-                    budget_before,
+                    cost,
+                    budget_before: budget.current(),
                     budget_after: budget.current(),
-                    profile_weight: site_weight(p, &first_site),
+                    profile_weight: site_weight(p, &g.sites[0]),
                 });
             }
+            continue; // discarded; may be recreated next pass
+        }
+        let budget_before = budget.current();
+        let first_site = g.sites[0];
+
+        // Materialize through the database.
+        let mut created = false;
+        let clone_id = match db.get(&g.spec) {
+            Some(&id) if db_hit => {
+                result.clones_reused += 1;
+                id
+            }
+            _ => {
+                let id = make_clone(p, &g.spec);
+                db.insert(g.spec.clone(), id);
+                result.clones_created += 1;
+                // Split the clonee's profile between clone and original
+                // by the group's share of entries.
+                let group_calls: f64 = g
+                    .sites
+                    .iter()
+                    .map(|s| {
+                        p.func(s.caller)
+                            .profile
+                            .as_ref()
+                            .map(|pr| pr.blocks[s.block.index()])
+                            .unwrap_or(1.0)
+                    })
+                    .sum();
+                let entry = p
+                    .func(g.spec.callee)
+                    .entry_count()
+                    .filter(|&e| e > 0.0)
+                    .unwrap_or_else(|| group_calls.max(1.0));
+                let share = (group_calls / entry).clamp(0.0, 1.0);
+                scale_profile(&mut p.func_mut(id).profile, share);
+                scale_profile(&mut p.func_mut(g.spec.callee).profile, 1.0 - share);
+                result.created_ids.push(id);
+                created = true;
+                id
+            }
+        };
+
+        // Redirect the group's call sites; each rewritten caller's
+        // cached scan goes stale. (New clone bodies need no
+        // invalidation — the cache picks up appended functions.)
+        for site in &g.sites {
+            if let Some(left) = ops_left {
+                if *left == 0 {
+                    break;
+                }
+                *left -= 1;
+            }
+            redirect_site_to_clone(p, site, &g.spec, clone_id);
+            cache.invalidate(site.caller);
+            result.sites_replaced += 1;
+        }
+
+        // Optimize the new clone so the bound constants take effect
+        // before costing (Figure 3 "optimize clones and recalibrate").
+        // Reused clones were already paid for when they were created.
+        let mut charged = 0u64;
+        if created {
+            hlo_opt::optimize_function(p.func_mut(clone_id));
+            let s = p.func(clone_id).size();
+            budget.charge(s * s);
+            charged = s * s;
+        }
+        if explain {
+            // One event per group: the first site stands for the
+            // group, the cost is what was actually charged.
+            tracer.decision(DecisionEvent {
+                pass: pass as u32,
+                kind: DecisionKind::Clone,
+                site: site_str(p, &first_site),
+                callee: p.func(clone_id).name.clone(),
+                verdict: Verdict::Performed,
+                reason: if db_hit {
+                    "db-reuse"
+                } else if g.retires_clonee {
+                    "retires-clonee"
+                } else {
+                    "accepted"
+                },
+                benefit: g.benefit,
+                cost: charged,
+                budget_before,
+                budget_after: budget.current(),
+                profile_weight: site_weight(p, &first_site),
+            });
         }
     }
     result.apply_wall = apply_start.elapsed();
-    result.apply_work = result.apply_wall;
 
     result
 }
@@ -609,22 +527,46 @@ mod tests {
         assert!(w[0] > w[1]);
     }
 
+    /// One pass with every function selected (the whole program as one
+    /// cache partition).
+    fn whole_pass(
+        p: &mut Program,
+        budget: &mut Budget,
+        pass: usize,
+        opts: &HloOptions,
+        db: &mut CloneDb,
+        ops_left: &mut Option<u64>,
+        cache: &mut CallGraphCache,
+    ) -> ClonePassResult {
+        let mask = vec![true; p.funcs.len()];
+        let mut tracer = Tracer::disabled();
+        clone_pass(
+            p,
+            budget,
+            pass,
+            opts,
+            &mask,
+            db,
+            ops_left,
+            cache,
+            &mut tracer,
+        )
+    }
+
     fn run_clone_pass(p: &mut Program) -> ClonePassResult {
         annotate_static(p);
         let c0 = p.compile_cost();
         let mut budget = Budget::new(c0, 100, &[1.0]);
         let mut db = CloneDb::default();
         let mut cache = CallGraphCache::new();
-        clone_pass(
+        whole_pass(
             p,
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut db,
             &mut None,
             &mut cache,
-            &mut Tracer::disabled(),
         )
     }
 
@@ -716,29 +658,17 @@ mod tests {
         let mut cache = CallGraphCache::new();
         let opts = HloOptions::default();
         let mut ops = Some(1u64);
-        let r1 = clone_pass(
-            &mut p,
-            &mut budget,
-            0,
-            &opts,
-            None,
-            &mut db,
-            &mut ops,
-            &mut cache,
-            &mut Tracer::disabled(),
-        );
+        let r1 = whole_pass(&mut p, &mut budget, 0, &opts, &mut db, &mut ops, &mut cache);
         assert_eq!(r1.clones_created, 1, "{r1:?}");
         assert_eq!(r1.sites_replaced, 1);
-        let r2 = clone_pass(
+        let r2 = whole_pass(
             &mut p,
             &mut budget,
             1,
             &opts,
-            None,
             &mut db,
             &mut None,
             &mut cache,
-            &mut Tracer::disabled(),
         );
         assert_eq!(r2.clones_created, 0, "{r2:?}");
         assert_eq!(r2.clones_reused, 1);
@@ -766,16 +696,14 @@ mod tests {
         let mut budget = Budget::new(c0, 0, &[1.0]);
         let mut db = CloneDb::default();
         let mut cache = CallGraphCache::new();
-        let r = clone_pass(
+        let r = whole_pass(
             &mut p,
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut db,
             &mut None,
             &mut cache,
-            &mut Tracer::disabled(),
         );
         // f has another caller with a different constant, so neither group
         // retires the clonee; zero budget ⇒ nothing happens.
@@ -832,16 +760,14 @@ mod tests {
         let mut db = CloneDb::default();
         let mut ops = Some(2u64);
         let mut cache = CallGraphCache::new();
-        let r = clone_pass(
+        let r = whole_pass(
             &mut p,
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut db,
             &mut ops,
             &mut cache,
-            &mut Tracer::disabled(),
         );
         assert_eq!(r.sites_replaced, 2);
         assert_eq!(ops, Some(0));

@@ -18,18 +18,14 @@ use hlo_ir::{Block, FuncId, Inst, Program};
 /// bodies are emptied and they leave their module's function list, so code
 /// layout, classification and cost models no longer see them. Returns the
 /// number of routines deleted.
-pub fn delete_unreachable(p: &mut Program, scope: Scope, cache: &mut CallGraphCache) -> u64 {
-    delete_unreachable_masked(p, scope, cache, None)
-}
-
-/// [`delete_unreachable`] restricted to functions `mask` selects (`None`
-/// = all). Reachability is still computed program-wide; the mask only
-/// limits which unreachable functions are emptied — the incremental
-/// driver deletes one cache partition at a time, and a function's
-/// liveness never depends on another cache partition (direct edges never
-/// cross partitions, and every address-taken root shares the indirect
-/// island's partition).
-pub fn delete_unreachable_masked(
+///
+/// Only functions `mask` selects are deleted (`None` = all). Reachability
+/// is still computed program-wide; the mask only limits which unreachable
+/// functions are emptied — the incremental driver deletes one cache
+/// partition at a time, and a function's liveness never depends on
+/// another cache partition (direct edges never cross partitions, and
+/// every address-taken root shares the indirect island's partition).
+pub fn delete_unreachable(
     p: &mut Program,
     scope: Scope,
     cache: &mut CallGraphCache,
@@ -74,7 +70,7 @@ mod tests {
     use hlo_ir::verify_program;
 
     fn delete(p: &mut Program, scope: Scope) -> u64 {
-        delete_unreachable(p, scope, &mut CallGraphCache::new())
+        delete_unreachable(p, scope, &mut CallGraphCache::new(), None)
     }
 
     #[test]
@@ -119,11 +115,11 @@ mod tests {
         // One shared cache across both queries, exercising invalidation.
         let mut cache = CallGraphCache::new();
         assert_eq!(
-            delete_unreachable(&mut p, Scope::CrossModule, &mut cache),
+            delete_unreachable(&mut p, Scope::CrossModule, &mut cache, None),
             1
         );
         assert_eq!(
-            delete_unreachable(&mut p, Scope::CrossModule, &mut cache),
+            delete_unreachable(&mut p, Scope::CrossModule, &mut cache, None),
             0
         );
     }
@@ -179,11 +175,11 @@ mod tests {
         // yet; then cross-module deletes mid, and leaf must cascade within
         // the same cache.
         assert_eq!(
-            delete_unreachable(&mut p, Scope::WithinModule, &mut cache),
+            delete_unreachable(&mut p, Scope::WithinModule, &mut cache, None),
             0
         );
         assert_eq!(
-            delete_unreachable(&mut p, Scope::CrossModule, &mut cache),
+            delete_unreachable(&mut p, Scope::CrossModule, &mut cache, None),
             2
         );
         let cg = cache.graph(&p);

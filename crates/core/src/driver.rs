@@ -10,7 +10,7 @@
 
 use crate::budget::BudgetSet;
 use crate::cloner::{clone_pass, CloneDb};
-use crate::delete::delete_unreachable_masked;
+use crate::delete::delete_unreachable;
 use crate::inliner::inline_pass;
 use crate::par::{effective_jobs, par_map_funcs};
 use crate::report::{HloReport, PassReport, StageTiming};
@@ -494,7 +494,7 @@ pub fn optimize_partial(
         pmask,
     );
     let t = Instant::now();
-    report.deletions += delete_unreachable_masked(p, opts.scope, &mut cache, pmask);
+    report.deletions += delete_unreachable(p, opts.scope, &mut cache, pmask);
     tracer.leaf_seq("delete", t.elapsed());
     ck.check(p, "delete");
 
@@ -534,9 +534,9 @@ pub fn optimize_partial(
     let c0 = p.compile_cost();
     report.initial_cost = c0;
     // One budget per partition, each a pure function of the partition's
-    // own post-prepass cost — the hierarchical split mirrors how the
-    // parallel planner splits stage headroom proportionally. The limits
-    // sum to the global budget (within integer truncation).
+    // own post-prepass cost; every inline and clone pass over the
+    // partition plans against it. The limits sum to the global budget
+    // (within integer truncation).
     let part_costs: Vec<u64> = partitions
         .iter()
         .map(|part| {
@@ -607,7 +607,7 @@ pub fn optimize_partial(
                             budget,
                             pass,
                             opts,
-                            Some(&mask),
+                            &mask,
                             &mut clone_db,
                             &mut ops_left,
                             &mut cache,
@@ -624,7 +624,7 @@ pub fn optimize_partial(
                         pr.clones_reused += r.clones_reused;
                         pr.clone_replacements += r.sites_replaced;
                         tracer.leaf("clone.plan", r.plan_wall, r.plan_work);
-                        tracer.leaf("clone.apply", r.apply_wall, r.apply_work);
+                        tracer.leaf_seq("clone.apply", r.apply_wall);
                         ck.check(p, &format!("clone@{pass}"));
                     }
                     if opts.enable_inline {
@@ -634,19 +634,18 @@ pub fn optimize_partial(
                             budget,
                             pass,
                             opts,
-                            Some(&mask),
+                            &mask,
                             &mut ops_left,
                             &mut cache,
                             tracer,
                         );
                         pr.inlines += r.inlines;
-                        tracer.leaf("inline.plan", r.plan_wall, r.plan_work);
+                        tracer.leaf_seq("inline.plan", r.plan_wall);
                         tracer.leaf("inline.apply", r.apply_wall, r.apply_work);
                         ck.check(p, &format!("inline@{pass}"));
                     }
                     let t = Instant::now();
-                    pr.deletions +=
-                        delete_unreachable_masked(p, opts.scope, &mut cache, Some(&mask));
+                    pr.deletions += delete_unreachable(p, opts.scope, &mut cache, Some(&mask));
                     tracer.leaf_seq("delete", t.elapsed());
                     ck.check(p, &format!("delete@{pass}"));
                     optimize_all(
@@ -661,8 +660,7 @@ pub fn optimize_partial(
                         Some(&mask),
                     );
                     let t = Instant::now();
-                    pr.deletions +=
-                        delete_unreachable_masked(p, opts.scope, &mut cache, Some(&mask));
+                    pr.deletions += delete_unreachable(p, opts.scope, &mut cache, Some(&mask));
                     tracer.leaf_seq("delete", t.elapsed());
                     ck.check(p, &format!("cleanup@{pass}"));
                     budget.recalibrate(masked_cost(p, &mask));
@@ -693,8 +691,7 @@ pub fn optimize_partial(
     if opts.enable_straighten {
         let t = Instant::now();
         straighten_mask.resize(p.funcs.len(), true);
-        report.straightened =
-            hlo_opt::straighten::straighten_program_masked(p, Some(&straighten_mask));
+        report.straightened = hlo_opt::straighten::straighten_program(p, Some(&straighten_mask));
         cache.invalidate_all();
         tracer.leaf_seq("straighten", t.elapsed());
         ck.check(p, "straighten");
@@ -920,7 +917,7 @@ fn optimize_all(
     let t = Instant::now();
     let removal = {
         let cg = cache.graph(p);
-        hlo_opt::eliminate_pure_calls_with_masked(p, cg, mask)
+        hlo_opt::eliminate_pure_calls_with(p, cg, mask)
     };
     for &f in &removal.changed {
         cache.invalidate(f);
@@ -959,15 +956,15 @@ fn optimize_all(
                 hlo_analysis::side_effect_free_funcs(p, cg),
             )
         };
-        let folds = hlo_opt::fold_const_returns_masked(p, &summaries, mask);
+        let folds = hlo_opt::fold_const_returns(p, &summaries, mask);
         for fo in &folds {
             cache.invalidate(fo.caller);
         }
-        let ipa_removal = hlo_opt::eliminate_calls_where_masked(p, &summaries.removable(), mask);
+        let ipa_removal = hlo_opt::eliminate_calls_where(p, &summaries.removable(), mask);
         for &f in &ipa_removal.changed {
             cache.invalidate(f);
         }
-        let xstats = hlo_opt::forward_across_calls_masked(p, &summaries, mask);
+        let xstats = hlo_opt::forward_across_calls(p, &summaries, mask);
         for &f in &xstats.changed {
             cache.invalidate(f);
         }

@@ -1,22 +1,19 @@
-//! The inlining pass (paper §2.4, Figure 4), partitioned for the
-//! parallel pipeline.
+//! The inlining pass (paper §2.4, Figure 4).
 //!
-//! Inlining never crosses a weakly connected component of the direct-call
-//! graph, so the pass splits the program into call-graph *partitions*
-//! (independent condensation subtrees), hands each a proportional share of
-//! the stage-budget headroom, and plans them concurrently. Planning is
-//! read-only; the accepted schedules are then performed sequentially in
-//! partition order and the budget is charged once at the barrier, so
+//! The driver runs one pass per cache partition (see
+//! [`crate::optimize_partial`]) and hands it that partition's function
+//! mask. Every viable site whose caller the mask selects is ranked in one
+//! greedy plan against the partition budget's stage headroom, whatever
+//! live call-graph components the partition holds — the paper's algorithm
+//! over one budget pool. Planning and splicing are sequential, so
 //! [`hlo_ir::Program::compile_cost`] accounting — and therefore every
-//! decision — is byte-identical at any worker count. A program whose live
-//! code is one component (the common case: everything reachable from
-//! `main`) forms a single partition that receives the full headroom, which
-//! reproduces the unpartitioned algorithm exactly.
+//! decision — is independent of the worker count; only the re-optimization
+//! of the callers that grew runs on the worker pool.
 
 use crate::budget::Budget;
 use crate::driver::HloOptions;
 use crate::legality::inline_restriction;
-use crate::par::{effective_jobs, par_funcs_mut, par_map};
+use crate::par::{effective_jobs, par_funcs_mut};
 use crate::transform::{inline_call, scale_profile};
 use hlo_analysis::{CallGraphCache, CallSiteRef};
 use hlo_ir::{FuncId, Program};
@@ -43,10 +40,8 @@ pub struct InlinePassResult {
     /// Viable sites discarded for budget reasons (they may be
     /// reconsidered next pass).
     pub deferred: u64,
-    /// Wall-clock time of screening + per-partition planning.
+    /// Wall-clock time of screening + planning (sequential).
     pub plan_wall: Duration,
-    /// Cumulative planning work summed over workers.
-    pub plan_work: Duration,
     /// Wall-clock time of splicing + caller re-optimization.
     pub apply_wall: Duration,
     /// Cumulative apply work summed over workers.
@@ -77,55 +72,37 @@ struct Candidate {
     weight: f64,
 }
 
-/// One partition's screened candidates plus its slice of the stage budget.
-struct PartitionTask {
-    candidates: Vec<Candidate>,
-    cost: u64,
-    share: u64,
-}
-
-/// What one partition's planner decided.
-struct PartitionPlan {
-    schedule: Vec<Candidate>,
-    delta: u64,
-    deferred: u64,
-    ops: u64,
-    /// Decision provenance, built on the (read-only) planning workers and
-    /// absorbed into the tracer sequentially at the barrier.
-    events: Vec<DecisionEvent>,
-}
-
-/// Runs one inlining pass under the stage budget.
+/// Runs one inlining pass under the stage budget over the functions
+/// `mask` selects (one cache partition; indices past its end are
+/// unselected).
 ///
-/// Viable sites are screened per call-graph partition, ranked by a
-/// run-time figure of merit (site frequency, with a cold-site penalty),
-/// then accepted greedily against the partition's budget share: each
-/// acceptance is costed against a *schedule* kept in bottom-up call-graph
-/// order so that cascaded inlines (B into A after C into B) are charged at
-/// B's grown size, exactly as Figure 4 prescribes. Partition planning runs
-/// on the worker pool unless the Figure 8 operation cap is active (a
-/// global sequential counter). Accepted inlines are then performed in
-/// partition order, schedule order within each.
+/// Viable sites are screened, ranked by a run-time figure of merit (site
+/// frequency, with a cold-site penalty), then accepted greedily against
+/// the stage headroom: each acceptance is costed against a *schedule*
+/// kept in bottom-up call-graph order so that cascaded inlines (B into A
+/// after C into B) are charged at B's grown size, exactly as Figure 4
+/// prescribes. `ops_left` is the Figure 8 knob: each accepted inline
+/// consumes one operation. Accepted inlines are then performed
+/// bottom-up.
 #[allow(clippy::too_many_arguments)] // mirrors the pass plumbing
 pub fn inline_pass(
     p: &mut Program,
     budget: &mut Budget,
     pass: usize,
     opts: &HloOptions,
-    mask: Option<&[bool]>,
+    mask: &[bool],
     ops_left: &mut Option<u64>,
     cache: &mut CallGraphCache,
     tracer: &mut Tracer,
 ) -> InlinePassResult {
     let mut result = InlinePassResult::default();
-    let jobs = effective_jobs(opts.jobs);
     let explain = tracer.decisions_enabled();
     let plan_start = Instant::now();
 
-    // Screen candidates partition by partition (Figure 4 "screen inline
-    // candidates"). All screening data is copied out so the call-graph
-    // borrow ends before any mutation.
-    let (scc_rank, mut tasks) = {
+    // Screen candidates (Figure 4 "screen inline candidates"). All
+    // screening data is copied out so the call-graph borrow ends before
+    // any mutation.
+    let (scc_rank, candidates) = {
         let cg = cache.graph(p);
         // Interprocedural facts sharpen screening (frame-escape blocks a
         // splice) and ranking (pure callees fold further once inlined).
@@ -137,30 +114,40 @@ pub fn inline_pass(
                 scc_rank[f.index()] = i;
             }
         }
-        let mut tasks: Vec<PartitionTask> = Vec::new();
-        for part in cg.partitions() {
-            // Under a cache-partition mask, plan only the live components
-            // inside the active partition. A live component never straddles
-            // two cache partitions (direct edges don't cross them), so
-            // checking one member covers all of them.
-            if let Some(m) = mask {
-                if !m.get(part.funcs[0].index()).copied().unwrap_or(false) {
-                    continue;
-                }
-                debug_assert!(part
-                    .funcs
-                    .iter()
-                    .all(|&f| m.get(f.index()).copied().unwrap_or(false)));
+        let mut candidates: Vec<Candidate> = Vec::new();
+        for edge in &cg.edges {
+            if !mask.get(edge.site.caller.index()).copied().unwrap_or(false) {
+                continue;
             }
-            let mut candidates: Vec<Candidate> = Vec::new();
-            for &ei in &part.edge_indices {
-                let edge = &cg.edges[ei];
-                let caller = p.func(edge.site.caller);
-                let site_cnt = match &caller.profile {
-                    Some(pr) => pr.blocks[edge.site.block.index()],
-                    None => 1.0,
-                };
-                if let Some(r) = inline_restriction(p, &edge.site, opts.scope) {
+            let caller = p.func(edge.site.caller);
+            let site_cnt = match &caller.profile {
+                Some(pr) => pr.blocks[edge.site.block.index()],
+                None => 1.0,
+            };
+            if let Some(r) = inline_restriction(p, &edge.site, opts.scope) {
+                if explain {
+                    tracer.decision(DecisionEvent {
+                        pass: pass as u32,
+                        kind: DecisionKind::Inline,
+                        site: site_str(p, &edge.site),
+                        callee: p.func(edge.callee).name.clone(),
+                        verdict: Verdict::Rejected,
+                        reason: r.code(),
+                        benefit: 0.0,
+                        cost: 0,
+                        budget_before: 0,
+                        budget_after: 0,
+                        profile_weight: site_cnt,
+                    });
+                }
+                continue;
+            }
+            // Interprocedural screening: a callee that leaks its own
+            // frame address must not have its frame merged into the
+            // caller's — the escaped address would outlive (and alias)
+            // differently after the splice.
+            if let Some(s) = &summaries {
+                if s.funcs[edge.callee.index()].leaks_frame {
                     if explain {
                         tracer.decision(DecisionEvent {
                             pass: pass as u32,
@@ -168,7 +155,7 @@ pub fn inline_pass(
                             site: site_str(p, &edge.site),
                             callee: p.func(edge.callee).name.clone(),
                             verdict: Verdict::Rejected,
-                            reason: r.code(),
+                            reason: "ipa-escape-blocked",
                             benefit: 0.0,
                             cost: 0,
                             budget_before: 0,
@@ -178,179 +165,77 @@ pub fn inline_pass(
                     }
                     continue;
                 }
-                // Interprocedural screening: a callee that leaks its own
-                // frame address must not have its frame merged into the
-                // caller's — the escaped address would outlive (and alias)
-                // differently after the splice.
-                if let Some(s) = &summaries {
-                    if s.funcs[edge.callee.index()].leaks_frame {
-                        if explain {
-                            tracer.decision(DecisionEvent {
-                                pass: pass as u32,
-                                kind: DecisionKind::Inline,
-                                site: site_str(p, &edge.site),
-                                callee: p.func(edge.callee).name.clone(),
-                                verdict: Verdict::Rejected,
-                                reason: "ipa-escape-blocked",
-                                benefit: 0.0,
-                                cost: 0,
-                                budget_before: 0,
-                                budget_after: 0,
-                                profile_weight: site_cnt,
-                            });
-                        }
-                        continue;
-                    }
-                }
-                let callee = p.func(edge.callee);
-                let entry_cnt = caller.profile.as_ref().map_or(1.0, |pr| pr.entry);
-                let mut merit = site_cnt;
-                if opts.cold_site_penalty && site_cnt < entry_cnt {
-                    merit *= COLD_SITE_PENALTY;
-                }
-                if callee.flags.inline_hint {
-                    merit *= HINT_BONUS;
-                }
-                if summaries
-                    .as_ref()
-                    .is_some_and(|s| s.funcs[edge.callee.index()].removable())
-                {
-                    merit *= IPA_PURE_BONUS;
-                }
-                candidates.push(Candidate {
-                    site: edge.site,
-                    target: edge.callee,
-                    merit,
-                    weight: site_cnt,
-                });
             }
-            if candidates.is_empty() {
-                continue;
+            let callee = p.func(edge.callee);
+            let entry_cnt = caller.profile.as_ref().map_or(1.0, |pr| pr.entry);
+            let mut merit = site_cnt;
+            if opts.cold_site_penalty && site_cnt < entry_cnt {
+                merit *= COLD_SITE_PENALTY;
             }
-            let cost: u64 = part
-                .funcs
-                .iter()
-                .map(|&f| {
-                    let s = p.func(f).size();
-                    s * s
-                })
-                .sum();
-            tasks.push(PartitionTask {
-                candidates,
-                cost,
-                share: 0,
+            if callee.flags.inline_hint {
+                merit *= HINT_BONUS;
+            }
+            if summaries
+                .as_ref()
+                .is_some_and(|s| s.funcs[edge.callee.index()].removable())
+            {
+                merit *= IPA_PURE_BONUS;
+            }
+            candidates.push(Candidate {
+                site: edge.site,
+                target: edge.callee,
+                merit,
+                weight: site_cnt,
             });
         }
-        (scc_rank, tasks)
+        (scc_rank, candidates)
     };
-
-    // Split the stage headroom proportionally to partition compile cost.
-    // Shares floor-divide, so their sum never exceeds the headroom; one
-    // active partition gets it all (the unpartitioned behaviour).
-    let headroom = budget.stage_limit(pass).saturating_sub(budget.current());
-    let total_cost: u64 = tasks.iter().map(|t| t.cost).sum();
-    for t in &mut tasks {
-        t.share = ((headroom as u128 * t.cost as u128) / total_cost.max(1) as u128) as u64;
-    }
-    let screen_elapsed = plan_start.elapsed();
 
     // Plan: greedy selection with cascaded cost over a bottom-up schedule
-    // (Figure 4 "select inline sites"), one planner per partition.
-    let par_start = Instant::now();
-    let (mut plans, par_work): (Vec<PartitionPlan>, Duration) = match ops_left {
-        Some(left) => {
-            // The Figure 8 operation cap is a single global counter, so
-            // partitions plan sequentially in partition order, sharing it.
-            let mut remaining = *left;
-            let mut plans = Vec::with_capacity(tasks.len());
-            for t in &tasks {
-                let plan = plan_partition(
-                    p,
-                    &scc_rank,
-                    &t.candidates,
-                    t.share,
-                    Some(remaining),
-                    pass as u32,
-                    explain,
-                );
-                remaining -= plan.ops.min(remaining);
-                plans.push(plan);
-            }
-            *ops_left = Some(remaining);
-            (plans, par_start.elapsed())
-        }
-        None => {
-            let out = par_map(jobs, &tasks, |_, t| {
-                plan_partition(
-                    p,
-                    &scc_rank,
-                    &t.candidates,
-                    t.share,
-                    None,
-                    pass as u32,
-                    explain,
-                )
-            });
-            (out.results, out.work)
-        }
-    };
-    result.plan_wall = screen_elapsed + par_start.elapsed();
-    result.plan_work = screen_elapsed + par_work;
-
-    // Barrier: reconcile the partition plans against the one budget, and
-    // absorb the workers' decision provenance in partition order (the same
-    // order a sequential run would emit it).
-    let mut total_delta = 0u64;
-    for plan in &plans {
-        total_delta += plan.delta;
-        result.deferred += plan.deferred;
+    // (Figure 4 "select inline sites").
+    let headroom = budget.stage_limit(pass).saturating_sub(budget.current());
+    let (mut schedule, delta, deferred) = plan(
+        p,
+        &scc_rank,
+        candidates,
+        headroom,
+        *ops_left,
+        pass as u32,
+        tracer,
+    );
+    if let Some(left) = ops_left {
+        *left -= (schedule.len() as u64).min(*left);
     }
-    budget.charge(total_delta);
-    if explain {
-        for plan in &mut plans {
-            for e in plan.events.drain(..) {
-                tracer.decision(e);
-            }
-        }
-    }
+    budget.charge(delta);
+    result.deferred = deferred;
+    result.plan_wall = plan_start.elapsed();
 
-    // Perform in partition order, bottom-up within each (Figure 4
-    // "perform inlines"), fixing the coordinates of later sites that
-    // shared the split block. Splicing is sequential — it appends no
-    // functions but rewrites caller bodies — and stays deterministic
-    // because partition order is.
+    // Perform bottom-up (Figure 4 "perform inlines"), fixing the
+    // coordinates of later sites that shared the split block.
     let apply_start = Instant::now();
-    let mut touched: Vec<FuncId> = Vec::new();
-    for plan in plans {
-        let mut schedule = plan.schedule;
-        schedule.sort_by_key(|c| scc_rank[c.site.caller.index()]);
-        let mut i = 0;
-        while i < schedule.len() {
-            let cand = schedule[i].clone();
-            let splice = inline_call(p, &cand.site);
-            result.inlines += 1;
-            // Deduct the moved executions from the callee's surviving
-            // profile.
-            let callee_entry = p.func(cand.target).entry_count().unwrap_or(0.0);
-            if callee_entry > 0.0 {
-                let keep = ((callee_entry - splice.site_count) / callee_entry).max(0.0);
-                scale_profile(&mut p.func_mut(cand.target).profile, keep);
-            }
-            for later in schedule.iter_mut().skip(i + 1) {
-                if later.site.caller == cand.site.caller
-                    && later.site.block == splice.split_block
-                    && later.site.inst > splice.call_index
-                {
-                    later.site.block = splice.continuation;
-                    later.site.inst -= splice.call_index + 1;
-                }
-            }
-            i += 1;
+    schedule.sort_by_key(|c| scc_rank[c.site.caller.index()]);
+    for i in 0..schedule.len() {
+        let cand = schedule[i].clone();
+        let splice = inline_call(p, &cand.site);
+        result.inlines += 1;
+        // Deduct the moved executions from the callee's surviving
+        // profile.
+        let callee_entry = p.func(cand.target).entry_count().unwrap_or(0.0);
+        if callee_entry > 0.0 {
+            let keep = ((callee_entry - splice.site_count) / callee_entry).max(0.0);
+            scale_profile(&mut p.func_mut(cand.target).profile, keep);
         }
-        for c in &schedule {
-            touched.push(c.site.caller);
+        for later in schedule.iter_mut().skip(i + 1) {
+            if later.site.caller == cand.site.caller
+                && later.site.block == splice.split_block
+                && later.site.inst > splice.call_index
+            {
+                later.site.block = splice.continuation;
+                later.site.inst -= splice.call_index + 1;
+            }
         }
     }
+    let mut touched: Vec<FuncId> = schedule.iter().map(|c| c.site.caller).collect();
     touched.sort_unstable();
     touched.dedup();
     let splice_elapsed = apply_start.elapsed();
@@ -359,62 +244,57 @@ pub fn inline_pass(
     // the worker pool, then recalibrate from measured sizes. Each touched
     // caller's cached call-graph scan is stale now.
     let reopt_start = Instant::now();
-    let out = par_funcs_mut(jobs, p, &touched, |_, f| hlo_opt::optimize_function(f));
+    let out = par_funcs_mut(effective_jobs(opts.jobs), p, &touched, |_, f| {
+        hlo_opt::optimize_function(f)
+    });
     for &f in &touched {
         cache.invalidate(f);
     }
-    // Under a mask the budget tracks only the active partition's cost.
-    budget.recalibrate(match mask {
-        Some(m) => crate::driver::masked_cost(p, m),
-        None => p.compile_cost(),
-    });
+    // The budget tracks only the active partition's cost.
+    budget.recalibrate(crate::driver::masked_cost(p, mask));
     result.apply_wall = splice_elapsed + reopt_start.elapsed();
     result.apply_work = splice_elapsed + out.work;
 
     result
 }
 
-/// Greedy planner for one partition: rank by merit, accept while the
-/// cascaded schedule delta stays within the partition's budget share.
-fn plan_partition(
+/// The greedy planner: rank by merit, accept while the cascaded schedule
+/// delta stays within `headroom`, stopping after `ops_cap` acceptances.
+/// Returns the accepted schedule, its total cost delta and the number of
+/// deferred sites.
+fn plan(
     p: &Program,
     scc_rank: &[usize],
-    candidates: &[Candidate],
-    share: u64,
+    mut ranked: Vec<Candidate>,
+    headroom: u64,
     ops_cap: Option<u64>,
     pass: u32,
-    explain: bool,
-) -> PartitionPlan {
-    let mut ranked: Vec<Candidate> = candidates.to_vec();
+    tracer: &mut Tracer,
+) -> (Vec<Candidate>, u64, u64) {
     ranked.sort_by(|a, b| {
         b.merit
             .partial_cmp(&a.merit)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let mut plan = PartitionPlan {
-        schedule: Vec::new(),
-        delta: 0,
-        deferred: 0,
-        ops: 0,
-        events: Vec::new(),
-    };
+    let explain = tracer.decisions_enabled();
+    let mut schedule: Vec<Candidate> = Vec::new();
+    let mut spent = 0u64;
+    let mut deferred = 0u64;
     for cand in ranked {
-        if let Some(cap) = ops_cap {
-            if plan.ops >= cap {
-                break;
-            }
+        if ops_cap.is_some_and(|cap| schedule.len() as u64 >= cap) {
+            break;
         }
-        let mut tentative: Vec<&Candidate> = plan.schedule.iter().collect();
+        let mut tentative: Vec<&Candidate> = schedule.iter().collect();
         tentative.push(&cand);
         // Bottom-up order: deepest sources first, so a callee's own
         // accepted inlines are counted before it is spliced elsewhere.
         tentative.sort_by_key(|c| scc_rank[c.site.caller.index()]);
         let delta = schedule_cost_delta(p, &tentative);
-        let accepted = delta <= share;
+        let accepted = delta <= headroom;
         if explain {
-            // Budget state is the partition's remaining headroom share;
-            // the cost is the cascaded delta this one decision adds.
-            plan.events.push(DecisionEvent {
+            // Budget state is the remaining stage headroom; the cost is
+            // the cascaded delta this one decision adds.
+            tracer.decision(DecisionEvent {
                 pass,
                 kind: DecisionKind::Inline,
                 site: site_str(p, &cand.site),
@@ -430,21 +310,20 @@ fn plan_partition(
                     "budget-deferred"
                 },
                 benefit: cand.merit,
-                cost: delta.saturating_sub(plan.delta),
-                budget_before: share.saturating_sub(plan.delta),
-                budget_after: share.saturating_sub(if accepted { delta } else { plan.delta }),
+                cost: delta.saturating_sub(spent),
+                budget_before: headroom.saturating_sub(spent),
+                budget_after: headroom.saturating_sub(if accepted { delta } else { spent }),
                 profile_weight: cand.weight,
             });
         }
         if accepted {
-            plan.schedule.push(cand);
-            plan.delta = delta;
-            plan.ops += 1;
+            schedule.push(cand);
+            spent = delta;
         } else {
-            plan.deferred += 1;
+            deferred += 1;
         }
     }
-    plan
+    (schedule, spent, deferred)
 }
 
 /// Total compile-cost increase of performing `schedule` (bottom-up order),
@@ -484,20 +363,33 @@ mod tests {
         }
     }
 
+    /// One pass with every function selected (the whole program as one
+    /// cache partition; its masked cost is the compile cost).
+    fn whole_pass(
+        p: &mut Program,
+        budget: &mut Budget,
+        pass: usize,
+        opts: &HloOptions,
+        ops_left: &mut Option<u64>,
+        cache: &mut CallGraphCache,
+    ) -> InlinePassResult {
+        let mask = vec![true; p.funcs.len()];
+        let mut tracer = Tracer::disabled();
+        inline_pass(p, budget, pass, opts, &mask, ops_left, cache, &mut tracer)
+    }
+
     fn run_pass(p: &mut Program, budget_pct: u64) -> InlinePassResult {
         annotate(p);
         let c0 = p.compile_cost();
         let mut budget = Budget::new(c0, budget_pct, &[1.0]);
         let mut cache = CallGraphCache::new();
-        inline_pass(
+        whole_pass(
             p,
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut None,
             &mut cache,
-            &mut Tracer::disabled(),
         )
     }
 
@@ -543,15 +435,13 @@ mod tests {
         // Budget that fits roughly one medium inline but not both.
         let mut budget = Budget::new(c0, 100, &[1.0]);
         let mut cache = CallGraphCache::new();
-        let r = inline_pass(
+        let r = whole_pass(
             &mut p,
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut None,
             &mut cache,
-            &mut Tracer::disabled(),
         );
         assert!(r.inlines >= 1);
         assert!(r.deferred >= 1, "{r:?}");
@@ -641,15 +531,13 @@ mod tests {
         let mut budget = Budget::new(c0, 5000, &[1.0]);
         let mut ops = Some(2u64);
         let mut cache = CallGraphCache::new();
-        let r = inline_pass(
+        let r = whole_pass(
             &mut p,
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut ops,
             &mut cache,
-            &mut Tracer::disabled(),
         );
         assert_eq!(r.inlines, 2);
         assert_eq!(ops, Some(0));
@@ -664,15 +552,13 @@ mod tests {
         let c0 = p.compile_cost();
         let mut budget = Budget::new(c0, 0, &[1.0]);
         let mut cache = CallGraphCache::new();
-        let r = inline_pass(
+        let r = whole_pass(
             &mut p,
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut None,
             &mut cache,
-            &mut Tracer::disabled(),
         );
         assert_eq!(r.inlines, 0);
         assert_eq!(r.deferred, 1);
@@ -692,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_islands_plan_independently_and_identically() {
+    fn address_taken_island_inlines_identically_across_job_counts() {
         // Two call islands (main's and an address-escaped helper chain
         // that stays reachable). The pass must inline in both, and the
         // result must not depend on the job count.
@@ -719,21 +605,87 @@ mod tests {
                 jobs,
                 ..Default::default()
             };
-            let r = inline_pass(
-                &mut p,
-                &mut budget,
-                0,
-                &opts,
-                None,
-                &mut None,
-                &mut cache,
-                &mut Tracer::disabled(),
-            );
+            let r = whole_pass(&mut p, &mut budget, 0, &opts, &mut None, &mut cache);
             assert!(r.inlines >= 2, "{r:?}");
             verify_program(&p).unwrap();
             outs.push(hlo_ir::program_to_text(&p));
         }
         assert_eq!(outs[0], outs[1]);
+    }
+
+    #[test]
+    fn one_partition_plans_all_its_live_components_as_one_pool() {
+        // main takes island's address, so {main, big} and {island, tiny}
+        // are two live call-graph components in one cache partition. The
+        // hottest site (tiny inside island's loop) costs more than the
+        // {island, tiny} component's Σ size² share of the headroom, but
+        // fits the partition's whole headroom: one greedy plan over the
+        // partition must take it.
+        let src = &[(
+            "m",
+            r#"
+            fn tiny(x) {
+                var s = x * 3;
+                if (s > 7) { s = s - 7; } else { s = s + 2; }
+                if (s > 20) { s = s / 2; } else { s = s * 5; }
+                return s + 1;
+            }
+            fn island() {
+                var s = 0;
+                for (var i = 0; i < 8; i = i + 1) { s = s + tiny(i); }
+                return s;
+            }
+            fn big(x) {
+                var s = x;
+                if (s > 1) { s = s * 3; } else { s = s + 4; }
+                if (s > 9) { s = s - 2; } else { s = s * 7; }
+                if (s > 30) { s = s / 3; } else { s = s + 11; }
+                if (s > 5) { s = s * s; } else { s = s - 1; }
+                if (s > 99) { s = s % 97; } else { s = s + 13; }
+                return s;
+            }
+            fn main() { var f = &island; return f() + big(3); }
+            "#,
+        )];
+        let mut p = hlo_frontc::compile(src).unwrap();
+        annotate(&mut p);
+        let expect = run_program(&p, &[], &ExecOptions::default()).unwrap().ret;
+        let cg = CallGraph::build(&p);
+        assert_eq!(cg.cache_partitions().len(), 1);
+        let size = |name: &str| p.func(p.find_func("m", name).unwrap()).size();
+        let (i, t) = (size("island"), size("tiny"));
+        let site_cost = (i + t) * (i + t) - i * i;
+        let c0 = p.compile_cost();
+        let mut budget = Budget::new(c0, 100, &[1.0]);
+        let headroom = budget.limit() - c0;
+        let component_share = headroom * (i * i + t * t) / c0;
+        assert!(
+            component_share < site_cost && site_cost <= headroom,
+            "share {component_share}, site cost {site_cost}, headroom {headroom}"
+        );
+        let r = whole_pass(
+            &mut p,
+            &mut budget,
+            0,
+            &HloOptions::default(),
+            &mut None,
+            &mut CallGraphCache::new(),
+        );
+        assert!(r.inlines >= 1, "{r:?}");
+        verify_program(&p).unwrap();
+        let island = p.find_func("m", "island").unwrap();
+        let tiny = p.find_func("m", "tiny").unwrap();
+        assert!(
+            !CallGraph::build(&p)
+                .edges
+                .iter()
+                .any(|e| e.site.caller == island && e.callee == tiny),
+            "tiny must be inlined into island"
+        );
+        assert_eq!(
+            run_program(&p, &[], &ExecOptions::default()).unwrap().ret,
+            expect
+        );
     }
 
     #[test]
@@ -747,26 +699,22 @@ mod tests {
         let c0 = p.compile_cost();
         let mut budget = Budget::new(c0, 2000, &[1.0, 1.0]);
         let mut cache = CallGraphCache::new();
-        inline_pass(
+        whole_pass(
             &mut p,
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut None,
             &mut cache,
-            &mut Tracer::disabled(),
         );
         let scans_after_first = cache.rescans();
-        inline_pass(
+        whole_pass(
             &mut p,
             &mut budget,
             1,
             &HloOptions::default(),
-            None,
             &mut None,
             &mut cache,
-            &mut Tracer::disabled(),
         );
         // The second pass re-scanned only the invalidated caller (main),
         // not the whole program.

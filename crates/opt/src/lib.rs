@@ -52,10 +52,7 @@ pub use pipeline::{
     OptStats,
 };
 pub use pure_calls::{
-    eliminate_calls_where, eliminate_calls_where_masked, eliminate_pure_calls,
-    eliminate_pure_calls_with, eliminate_pure_calls_with_masked, PureCallRemoval, PureCallSite,
+    eliminate_calls_where, eliminate_pure_calls, eliminate_pure_calls_with, PureCallRemoval,
+    PureCallSite,
 };
-pub use xcall::{
-    fold_const_returns, fold_const_returns_masked, forward_across_calls,
-    forward_across_calls_masked, ConstRetFold, CrossCallStats,
-};
+pub use xcall::{fold_const_returns, forward_across_calls, ConstRetFold, CrossCallStats};

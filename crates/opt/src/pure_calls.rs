@@ -44,40 +44,30 @@ pub struct PureCallRemoval {
 /// a rebuild.
 pub fn eliminate_pure_calls(p: &mut Program) -> u64 {
     let cg = CallGraph::build(p);
-    eliminate_pure_calls_with(p, &cg).removed
+    eliminate_pure_calls_with(p, &cg, None).removed
 }
 
 /// [`eliminate_pure_calls`] against a caller-supplied call graph, with a
-/// report of which functions were edited.
-pub fn eliminate_pure_calls_with(p: &mut Program, cg: &CallGraph) -> PureCallRemoval {
-    eliminate_pure_calls_with_masked(p, cg, None)
-}
-
-/// [`eliminate_pure_calls_with`] restricted to callers `mask` selects
-/// (`None` = all). Purity facts are still computed program-wide; the mask
-/// only limits which *callers* are edited — the incremental driver uses it
-/// to touch one cache partition at a time.
-pub fn eliminate_pure_calls_with_masked(
+/// report of which functions were edited, restricted to callers `mask`
+/// selects (`None` = all). Purity facts are still computed program-wide;
+/// the mask only limits which *callers* are edited — the incremental
+/// driver uses it to touch one cache partition at a time.
+pub fn eliminate_pure_calls_with(
     p: &mut Program,
     cg: &CallGraph,
     mask: Option<&[bool]>,
 ) -> PureCallRemoval {
     let free = side_effect_free_funcs(p, cg);
-    eliminate_calls_where_masked(p, &free, mask)
+    eliminate_calls_where(p, &free, mask)
 }
 
 /// The deletion engine behind [`eliminate_pure_calls_with`], parameterized
 /// over *which* callees are deletable: `deletable[i]` says a direct call to
 /// function `i` whose result is unused may be removed. The syntactic purity
 /// wrapper passes `side_effect_free_funcs`; the driver's ipa stage passes
-/// the summary-based removable set (a strict superset).
-pub fn eliminate_calls_where(p: &mut Program, deletable: &[bool]) -> PureCallRemoval {
-    eliminate_calls_where_masked(p, deletable, None)
-}
-
-/// [`eliminate_calls_where`] restricted to callers `mask` selects
-/// (`None` = all).
-pub fn eliminate_calls_where_masked(
+/// the summary-based removable set (a strict superset). Only callers
+/// `mask` selects are edited (`None` = all).
+pub fn eliminate_calls_where(
     p: &mut Program,
     deletable: &[bool],
     mask: Option<&[bool]>,

@@ -166,17 +166,11 @@ pub fn straighten_blocks(f: &mut Function) -> bool {
     true
 }
 
-/// Straightens every function of a program. Returns how many functions
-/// changed.
-pub fn straighten_program(p: &mut hlo_ir::Program) -> u64 {
-    straighten_program_masked(p, None)
-}
-
-/// [`straighten_program`] restricted to functions `mask` selects (`None`
-/// = all). Straightening is purely per-function, so the incremental
-/// driver skips functions spliced from cache (their cached bodies are
-/// already straightened).
-pub fn straighten_program_masked(p: &mut hlo_ir::Program, mask: Option<&[bool]>) -> u64 {
+/// Straightens every function of a program that `mask` selects (`None` =
+/// all). Returns how many functions changed. Straightening is purely
+/// per-function, so the incremental driver skips functions spliced from
+/// cache (their cached bodies are already straightened).
+pub fn straighten_program(p: &mut hlo_ir::Program, mask: Option<&[bool]>) -> u64 {
     let mut changed = 0;
     for (fi, f) in p.funcs.iter_mut().enumerate() {
         if !mask.is_none_or(|m| m.get(fi).copied().unwrap_or(false)) {
@@ -248,7 +242,7 @@ mod tests {
                 hlo_profile::collect_profile(&p, &[b.train_arg], &ExecOptions::default()).unwrap();
             hlo_profile::apply_profile(&mut p, &db);
             let before = run_program(&p, &[b.train_arg], &ExecOptions::default()).unwrap();
-            let changed = straighten_program(&mut p);
+            let changed = straighten_program(&mut p, None);
             assert!(changed > 0, "{name}: expected some reordering");
             hlo_ir::verify_program(&p).unwrap();
             let after = run_program(&p, &[b.train_arg], &ExecOptions::default()).unwrap();

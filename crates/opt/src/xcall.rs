@@ -44,14 +44,9 @@ pub struct ConstRetFold {
 /// Replaces the results of direct calls to constant-returning functions
 /// with the constant. Removable callees lose the whole call; effectful
 /// ones keep it (result discarded) and the constant materializes after it.
-pub fn fold_const_returns(p: &mut Program, summaries: &Summaries) -> Vec<ConstRetFold> {
-    fold_const_returns_masked(p, summaries, None)
-}
-
-/// [`fold_const_returns`] restricted to callers `mask` selects (`None` =
-/// all). Summaries stay program-wide; the mask only limits which callers
-/// are rewritten.
-pub fn fold_const_returns_masked(
+/// Only callers `mask` selects are rewritten (`None` = all); summaries
+/// stay program-wide.
+pub fn fold_const_returns(
     p: &mut Program,
     summaries: &Summaries,
     mask: Option<&[bool]>,
@@ -215,14 +210,9 @@ fn may_alias(a: BaseKey, b: BaseKey) -> bool {
 }
 
 /// Store-to-load forwarding that survives calls whose summaries bound what
-/// they touch, plus cross-call dead-store elimination for globals.
-pub fn forward_across_calls(p: &mut Program, summaries: &Summaries) -> CrossCallStats {
-    forward_across_calls_masked(p, summaries, None)
-}
-
-/// [`forward_across_calls`] restricted to callers `mask` selects (`None`
-/// = all).
-pub fn forward_across_calls_masked(
+/// they touch, plus cross-call dead-store elimination for globals, in the
+/// functions `mask` selects (`None` = all).
+pub fn forward_across_calls(
     p: &mut Program,
     summaries: &Summaries,
     mask: Option<&[bool]>,
@@ -485,7 +475,7 @@ mod tests {
         pb.add_function(leaf.finish(Linkage::Public, Type::I64));
         let mut p = pb.finish(Some(FuncId(0)));
         let s = summarize(&p);
-        let stats = forward_across_calls(&mut p, &s);
+        let stats = forward_across_calls(&mut p, &s, None);
         assert_eq!(stats.forwards, 1);
         assert!(p.funcs[0]
             .blocks
@@ -522,7 +512,7 @@ mod tests {
         pb.add_function(w.finish(Linkage::Public, Type::Void));
         let mut p = pb.finish(Some(FuncId(0)));
         let s = summarize(&p);
-        let stats = forward_across_calls(&mut p, &s);
+        let stats = forward_across_calls(&mut p, &s, None);
         assert_eq!(stats.forwards, 1, "only the h load forwards");
         let loads = p.funcs[0]
             .blocks
@@ -558,7 +548,7 @@ mod tests {
         pb.add_function(main.finish(Linkage::Public, Type::I64));
         let mut p = pb.finish(Some(FuncId(2)));
         let s = summarize(&p);
-        let folds = fold_const_returns(&mut p, &s);
+        let folds = fold_const_returns(&mut p, &s, None);
         assert_eq!(folds.len(), 2);
         assert!(folds
             .iter()
@@ -610,11 +600,11 @@ mod tests {
         }
         let mut p = build(false);
         let s = summarize(&p);
-        assert_eq!(forward_across_calls(&mut p, &s).dead_stores, 1);
+        assert_eq!(forward_across_calls(&mut p, &s, None).dead_stores, 1);
         let mut p = build(true);
         let s = summarize(&p);
         assert_eq!(
-            forward_across_calls(&mut p, &s).dead_stores,
+            forward_across_calls(&mut p, &s, None).dead_stores,
             0,
             "a callee that reads g keeps the first store alive"
         );
@@ -652,6 +642,6 @@ mod tests {
         pb.add_function(w.finish(Linkage::Public, Type::Void));
         let mut p = pb.finish(Some(FuncId(0)));
         let s = summarize(&p);
-        assert_eq!(forward_across_calls(&mut p, &s).forwards, 1);
+        assert_eq!(forward_across_calls(&mut p, &s, None).forwards, 1);
     }
 }

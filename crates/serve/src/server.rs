@@ -109,6 +109,50 @@ impl Default for ServeConfig {
     }
 }
 
+/// The listen address `hlod` and `hloc serve` use without `--addr`.
+pub const DEFAULT_ADDR: &str = "127.0.0.1:7457";
+
+impl ServeConfig {
+    /// Parses the daemon's command-line flags — the one parser behind
+    /// `hlod` and `hloc serve` — on top of the defaults. Returns the
+    /// listen address (`--addr`, default [`DEFAULT_ADDR`]) and the
+    /// configuration. An unknown flag, a missing value or an unparsable
+    /// number is an error.
+    pub fn from_args(args: &[String]) -> Result<(String, ServeConfig), String> {
+        fn parse<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+            v.parse().map_err(|_| format!("bad {flag} value"))
+        }
+        let mut addr = DEFAULT_ADDR.to_string();
+        let mut cfg = ServeConfig::default();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let mut value = || {
+                it.next()
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("`{flag}` needs a value"))
+            };
+            match flag.as_str() {
+                "--addr" => addr = value()?.to_string(),
+                "--workers" => cfg.workers = parse(flag, value()?)?,
+                "--queue" => cfg.queue_cap = parse(flag, value()?)?,
+                "--cache" => cfg.cache_cap = parse(flag, value()?)?,
+                "--max-payload" => cfg.max_payload = parse(flag, value()?)?,
+                "--deadline-ms" => cfg.default_deadline_ms = Some(parse(flag, value()?)?),
+                "--pgo-threshold" => cfg.pgo_threshold_millis = parse(flag, value()?)?,
+                "--pgo-cap" => cfg.pgo_cap = parse(flag, value()?)?,
+                "--pgo-store" => cfg.pgo_store_path = Some(PathBuf::from(value()?)),
+                "--no-incremental" => cfg.incremental = false,
+                "--log" => cfg.event_log_path = Some(PathBuf::from(value()?)),
+                "--log-stderr" => cfg.log_stderr = true,
+                "--slow-ms" => cfg.slow_ms = Some(parse(flag, value()?)?),
+                "--flight-cap" => cfg.flight_cap = parse(flag, value()?)?,
+                other => return Err(format!("unknown option `{other}`")),
+            }
+        }
+        Ok((addr, cfg))
+    }
+}
+
 /// One queued optimize request.
 struct Job {
     req: OptimizeRequest,
@@ -1192,4 +1236,91 @@ pub fn banner(addr: SocketAddr, cfg: &ServeConfig) {
         cfg.queue_cap,
         cfg.cache_cap
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn from_args_sets_every_flag() {
+        let (addr, cfg) = ServeConfig::from_args(&args(&[
+            "--addr",
+            "127.0.0.1:9",
+            "--workers",
+            "3",
+            "--queue",
+            "5",
+            "--cache",
+            "7",
+            "--max-payload",
+            "1024",
+            "--deadline-ms",
+            "250",
+            "--pgo-threshold",
+            "400",
+            "--pgo-cap",
+            "9",
+            "--pgo-store",
+            "store.txt",
+            "--no-incremental",
+            "--log",
+            "events.log",
+            "--log-stderr",
+            "--slow-ms",
+            "11",
+            "--flight-cap",
+            "13",
+        ]))
+        .unwrap();
+        let d = ServeConfig::default();
+        assert_eq!(addr, "127.0.0.1:9");
+        assert_eq!(cfg.workers, 3);
+        assert_eq!(cfg.queue_cap, 5);
+        assert_eq!(cfg.cache_cap, 7);
+        assert_eq!(cfg.max_payload, 1024);
+        assert_eq!(cfg.default_deadline_ms, Some(250));
+        assert_eq!(cfg.pgo_threshold_millis, 400);
+        assert_eq!(cfg.pgo_cap, 9);
+        assert_eq!(cfg.pgo_store_path, Some(PathBuf::from("store.txt")));
+        assert!(!cfg.incremental);
+        assert_eq!(cfg.event_log_path, Some(PathBuf::from("events.log")));
+        assert!(cfg.log_stderr);
+        assert_eq!(cfg.slow_ms, Some(11));
+        assert_eq!(cfg.flight_cap, 13);
+        // Each value above differs from its default; the two fields
+        // without a flag keep theirs.
+        assert_ne!(cfg.workers, d.workers);
+        assert_ne!(cfg.queue_cap, d.queue_cap);
+        assert_ne!(cfg.cache_cap, d.cache_cap);
+        assert_ne!(cfg.max_payload, d.max_payload);
+        assert_ne!(cfg.pgo_threshold_millis, d.pgo_threshold_millis);
+        assert_ne!(cfg.pgo_cap, d.pgo_cap);
+        assert_ne!(cfg.flight_cap, d.flight_cap);
+        assert_eq!(cfg.pgo_hot_set, d.pgo_hot_set);
+        assert_eq!(cfg.trace_cap, d.trace_cap);
+    }
+
+    #[test]
+    fn from_args_defaults_and_errors() {
+        let (addr, cfg) = ServeConfig::from_args(&[]).unwrap();
+        assert_eq!(addr, DEFAULT_ADDR);
+        assert!(cfg.incremental);
+        assert_eq!(
+            ServeConfig::from_args(&args(&["--bogus"])).unwrap_err(),
+            "unknown option `--bogus`"
+        );
+        assert_eq!(
+            ServeConfig::from_args(&args(&["--workers", "x"])).unwrap_err(),
+            "bad --workers value"
+        );
+        assert_eq!(
+            ServeConfig::from_args(&args(&["--slow-ms"])).unwrap_err(),
+            "`--slow-ms` needs a value"
+        );
+    }
 }

@@ -73,8 +73,8 @@ pub struct DecisionEvent {
     /// free reuses).
     pub cost: u64,
     /// Budget headroom before the decision, in `Σ size²` units. For
-    /// inline decisions this is the partition's remaining share (planning
-    /// is per-partition); for clones the global budget estimate.
+    /// inline decisions this is the cache partition's remaining stage
+    /// headroom; for clones the partition budget's running estimate.
     pub budget_before: u64,
     /// Budget headroom (or estimate) after the decision.
     pub budget_after: u64,

@@ -86,8 +86,10 @@ USAGE:
                                        differential-fuzz the optimizer
                                        (exit 1 when findings are written)
   hloc serve [--addr A] [--workers N] [--queue N] [--cache N]
+            [--max-payload BYTES] [--deadline-ms N]
             [--pgo-threshold M] [--pgo-cap N] [--pgo-store PATH]
-            [--log PATH] [--log-stderr] [--slow-ms N] [--flight-cap N]
+            [--no-incremental] [--log PATH] [--log-stderr]
+            [--slow-ms N] [--flight-cap N]
                                        run the optimization daemon in-process
   hloc remote <addr> build [OPTIONS] <file.mc>...
                                        optimize on a running daemon
@@ -547,62 +549,7 @@ fn run_plain(rest: &[String]) -> Result<(), String> {
 /// `hloc serve`: run the optimization daemon in the foreground — the same
 /// server `hlod` wraps, for when a separate binary is inconvenient.
 fn serve_cmd(rest: &[String]) -> Result<(), String> {
-    let mut addr = "127.0.0.1:7457".to_string();
-    let mut cfg = serve::ServeConfig::default();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{name}` needs a value"))
-        };
-        match a.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--workers" => {
-                cfg.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "bad --workers value".to_string())?
-            }
-            "--queue" => {
-                cfg.queue_cap = value("--queue")?
-                    .parse()
-                    .map_err(|_| "bad --queue value".to_string())?
-            }
-            "--cache" => {
-                cfg.cache_cap = value("--cache")?
-                    .parse()
-                    .map_err(|_| "bad --cache value".to_string())?
-            }
-            "--pgo-threshold" => {
-                cfg.pgo_threshold_millis = value("--pgo-threshold")?
-                    .parse()
-                    .map_err(|_| "bad --pgo-threshold value".to_string())?
-            }
-            "--pgo-cap" => {
-                cfg.pgo_cap = value("--pgo-cap")?
-                    .parse()
-                    .map_err(|_| "bad --pgo-cap value".to_string())?
-            }
-            "--pgo-store" => {
-                cfg.pgo_store_path = Some(std::path::PathBuf::from(value("--pgo-store")?))
-            }
-            "--log" => cfg.event_log_path = Some(std::path::PathBuf::from(value("--log")?)),
-            "--log-stderr" => cfg.log_stderr = true,
-            "--slow-ms" => {
-                cfg.slow_ms = Some(
-                    value("--slow-ms")?
-                        .parse()
-                        .map_err(|_| "bad --slow-ms value".to_string())?,
-                )
-            }
-            "--flight-cap" => {
-                cfg.flight_cap = value("--flight-cap")?
-                    .parse()
-                    .map_err(|_| "bad --flight-cap value".to_string())?
-            }
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
+    let (addr, cfg) = serve::ServeConfig::from_args(rest)?;
     let banner_cfg = cfg.clone();
     let server =
         serve::Server::spawn(addr.as_str(), cfg).map_err(|e| format!("bind {addr}: {e}"))?;

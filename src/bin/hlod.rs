@@ -32,15 +32,7 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    let mut addr = "127.0.0.1:7457".to_string();
-    let mut cfg = ServeConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{name}` needs a value"))
-        };
+    for a in args {
         match a.as_str() {
             "--version" | "-V" => {
                 println!("hlod {} (features: {FEATURES})", env!("CARGO_PKG_VERSION"));
@@ -50,65 +42,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 print_help();
                 return Ok(ExitCode::SUCCESS);
             }
-            "--addr" => addr = value("--addr")?,
-            "--workers" => {
-                cfg.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "bad --workers value".to_string())?
-            }
-            "--queue" => {
-                cfg.queue_cap = value("--queue")?
-                    .parse()
-                    .map_err(|_| "bad --queue value".to_string())?
-            }
-            "--cache" => {
-                cfg.cache_cap = value("--cache")?
-                    .parse()
-                    .map_err(|_| "bad --cache value".to_string())?
-            }
-            "--max-payload" => {
-                cfg.max_payload = value("--max-payload")?
-                    .parse()
-                    .map_err(|_| "bad --max-payload value".to_string())?
-            }
-            "--deadline-ms" => {
-                cfg.default_deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse()
-                        .map_err(|_| "bad --deadline-ms value".to_string())?,
-                )
-            }
-            "--pgo-threshold" => {
-                cfg.pgo_threshold_millis = value("--pgo-threshold")?
-                    .parse()
-                    .map_err(|_| "bad --pgo-threshold value".to_string())?
-            }
-            "--pgo-cap" => {
-                cfg.pgo_cap = value("--pgo-cap")?
-                    .parse()
-                    .map_err(|_| "bad --pgo-cap value".to_string())?
-            }
-            "--pgo-store" => {
-                cfg.pgo_store_path = Some(std::path::PathBuf::from(value("--pgo-store")?))
-            }
-            "--no-incremental" => cfg.incremental = false,
-            "--log" => cfg.event_log_path = Some(std::path::PathBuf::from(value("--log")?)),
-            "--log-stderr" => cfg.log_stderr = true,
-            "--slow-ms" => {
-                cfg.slow_ms = Some(
-                    value("--slow-ms")?
-                        .parse()
-                        .map_err(|_| "bad --slow-ms value".to_string())?,
-                )
-            }
-            "--flight-cap" => {
-                cfg.flight_cap = value("--flight-cap")?
-                    .parse()
-                    .map_err(|_| "bad --flight-cap value".to_string())?
-            }
-            other => return Err(format!("unknown option `{other}`; try `hlod --help`")),
+            _ => {}
         }
     }
+    let (addr, cfg) =
+        ServeConfig::from_args(args).map_err(|e| format!("{e}; try `hlod --help`"))?;
     let banner_cfg = cfg.clone();
     let server = Server::spawn(addr.as_str(), cfg).map_err(|e| format!("bind {addr}: {e}"))?;
     aggressive_inlining::serve::server::banner(server.local_addr(), &banner_cfg);
@@ -118,6 +56,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn print_help() {
+    let d = ServeConfig::default();
     println!(
         "hlod — persistent HLO optimization daemon
 
@@ -125,16 +64,16 @@ USAGE:
   hlod [OPTIONS]
 
 OPTIONS:
-  --addr HOST:PORT     listen address (default: 127.0.0.1:7457)
+  --addr HOST:PORT     listen address (default: {addr})
   --workers N          optimize worker threads (default: 0 = all cores)
-  --queue N            bounded request queue depth (default: 64)
-  --cache N            cached program results, LRU past this (default: 128)
-  --max-payload BYTES  largest accepted request frame (default: 16 MiB)
+  --queue N            bounded request queue depth (default: {queue})
+  --cache N            cached program results, LRU past this (default: {cache})
+  --max-payload BYTES  largest accepted request frame (default: {payload_mib} MiB)
   --deadline-ms N      default per-request deadline (default: none)
   --pgo-threshold M    profile-drift score (thousandths, 0-1000) past which
                        a cached `profile: server` result is re-optimized
-                       (default: 250)
-  --pgo-cap N          profile aggregates kept, LRU past this (default: 64)
+                       (default: {threshold})
+  --pgo-cap N          profile aggregates kept, LRU past this (default: {pgo_cap})
   --pgo-store PATH     persist the profile store to PATH (crash-safe
                        write+rename; reloaded on startup)
   --no-incremental     rebuild whole programs on every cache miss instead
@@ -143,9 +82,16 @@ OPTIONS:
   --log-stderr         also mirror structured events to stderr
   --slow-ms N          wall-time bound; slower requests are logged and the
                        flight recorder is auto-dumped (default: off)
-  --flight-cap N       request summaries in the flight recorder (default: 256)
+  --flight-cap N       request summaries in the flight recorder (default: {flight_cap})
   --version            print version and enabled features
 
-Stop it with `hloc remote <addr> shutdown`; queued work is drained first."
+Stop it with `hloc remote <addr> shutdown`; queued work is drained first.",
+        addr = aggressive_inlining::serve::server::DEFAULT_ADDR,
+        queue = d.queue_cap,
+        cache = d.cache_cap,
+        payload_mib = d.max_payload >> 20,
+        threshold = d.pgo_threshold_millis,
+        pgo_cap = d.pgo_cap,
+        flight_cap = d.flight_cap,
     );
 }

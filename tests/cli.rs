@@ -220,3 +220,19 @@ fn help_lists_subcommands() {
         assert!(stdout.contains(cmd), "{stdout}");
     }
 }
+
+#[test]
+fn hlod_help_states_the_pgo_threshold_default() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hlod"))
+        .arg("--help")
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let entry = stdout
+        .split("--pgo-threshold")
+        .nth(1)
+        .and_then(|rest| rest.split("--pgo-cap").next())
+        .unwrap_or_else(|| panic!("no --pgo-threshold entry in:\n{stdout}"));
+    assert!(entry.contains("default: 100)"), "{entry}");
+}
